@@ -26,6 +26,7 @@ from .arith import (  # noqa: F401
     mobius,
     mobius_invert,
     partial_zeta,
+    residue_weights,
     smooth_numbers,
     totient,
     totient_beta,
@@ -44,6 +45,7 @@ from .algebra import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     AtomicMeasure,
+    NotOrbitInvariantError,
     NotSubconformalError,
     RootOfUnity,
     apply_A,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable
@@ -418,18 +417,10 @@ def run_criterion(number: int, corrupt: bool = False) -> CriterionResult:
 
 
 def run_all(
-    numbers: Iterable[int] | None = None,
-    corrupt: int | None = None,
-    jobs: int = 1,
+    numbers: Iterable[int] | None = None, corrupt: int | None = None
 ) -> list[CriterionResult]:
     numbers = list(numbers) if numbers is not None else list(ALL_CRITERIA)
     for n in numbers:
         if n not in _CRITERIA:
             raise ValueError(f"unknown criterion {n}; valid: {list(ALL_CRITERIA)}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {n: pool.submit(run_criterion, n, corrupt == n) for n in numbers}
-            results = [futures[n].result() for n in numbers]
-    else:
-        results = [run_criterion(n, corrupt == n) for n in numbers]
-    return results
+    return [run_criterion(n, corrupt == n) for n in numbers]

@@ -161,22 +161,6 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
-def elem_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def elem_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def elem_scale(c: complex, x: AlgebraElement) -> AlgebraElement:
-    return x.scale(c)
-
-
-def elem_adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
-
-
 def isometry(a: int) -> AlgebraElement:
     return AlgebraElement.monomial(Monomial(a, 0, 1))
 

@@ -2,10 +2,9 @@
 
 Integers are treated as 64-bit quantities: products that would leave
 [-(2^63), 2^63) raise :class:`RangeError`.  Real arithmetic is double
-precision; the shared default comparison tolerance is ``DEFAULT_TOL``.
-All functions here are pure; the prime table and factorization memo are
-write-once caches guarded by a lock, so concurrent callers always observe
-a consistent view.
+precision.  All functions here are pure; the prime table and factorization
+memo are write-once caches guarded by a lock, so concurrent callers always
+observe a consistent view.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
 INT64_MAX = 2**63 - 1
 
 _SIEVE_LIMIT = 10**6
@@ -269,45 +267,57 @@ def mobius_invert(g: Mapping[int, float], N: int) -> dict[int, float]:
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
+_EM_HEAD = 30
+_TWO_PI_8 = (2.0 * math.pi) ** 8
 
 
-def hurwitz_zeta(beta: float, a: float, tol: float = 1e-12) -> float:
-    """sum_{n>=0} (n+a)^-beta for beta > 1 and a in (0, 1].
+def hurwitz_zeta_bounded(beta: float, a: float) -> tuple[float, float]:
+    """(zeta(beta, a), a rigorous bound on the Euler-Maclaurin remainder), beta > 1, a in (0, 1].
 
-    Direct summation of the head plus a 4-term Euler-Maclaurin tail; the head
-    length grows like 10/(beta-1) so the correction stays below tol even
-    arbitrarily close to the pole.
+    sum_{n>=0} (n+a)^-beta as a fixed head of 30 terms, the exact pole term
+    x^(1-beta)/(beta-1) and four Bernoulli corrections at x = 30 + a.  The
+    remainder obeys |R| <= 4 (beta)_8 / (2 pi)^8 * x^(1-beta-8) / (beta+7)
+    (Johansson, arXiv:1309.2877, Thm 1), which equals 4 (beta)_7 x^(-beta-7) / (2 pi)^8.
     """
     if beta <= 1:
         raise ValueError(f"hurwitz_zeta requires beta > 1, got {beta}")
     if not 0 < a <= 1:
         raise ValueError(f"hurwitz_zeta requires a in (0, 1], got {a}")
-    N = max(50, math.ceil(10.0 / (beta - 1.0)))
-    while True:
-        head = _hurwitz_head(beta, a, N)
-        x = N + a
-        tail = x ** (1.0 - beta) / (beta - 1.0) + 0.5 * x**-beta
-        rising = beta
-        term = 0.0
-        for j, b2j in enumerate(_BERNOULLI, start=1):
-            term = b2j / math.factorial(2 * j) * rising * x ** (-beta - 2 * j + 1)
-            tail += term
-            rising *= (beta + 2 * j - 1) * (beta + 2 * j)
-        if abs(term) <= tol or N >= 10**8:
-            return head + tail
-        N *= 4
+    x = _EM_HEAD + a
+    terms = [(k + a) ** -beta for k in range(_EM_HEAD)]
+    terms.append(x ** (1.0 - beta) / (beta - 1.0))
+    terms.append(0.5 * x**-beta)
+    rising = beta  # (beta)_(2j-1) for the j-th correction
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        terms.append(b2j / math.factorial(2 * j) * rising * x ** (-beta - 2 * j + 1))
+        rising *= (beta + 2 * j - 1) * (beta + 2 * j)
+    rising7 = rising / ((beta + 7.0) * (beta + 8.0))
+    return math.fsum(terms), 4.0 * rising7 * x ** (-beta - 7.0) / _TWO_PI_8
 
 
-def _hurwitz_head(beta: float, a: float, N: int) -> float:
-    # chunked so near-pole evaluations (N ~ 10^7) stay memory-friendly
-    total = 0.0
-    step = 4_000_000
-    for start in range(0, N, step):
-        k = np.arange(start, min(start + step, N), dtype=np.float64)
-        total += float(np.sum((k + a) ** -beta))
-    return total
+def hurwitz_zeta(beta: float, a: float) -> float:
+    """sum_{n>=0} (n+a)^-beta for beta > 1 and a in (0, 1]."""
+    return hurwitz_zeta_bounded(beta, a)[0]
 
 
-def zeta(beta: float, tol: float = 1e-12) -> float:
+def zeta(beta: float) -> float:
     """Riemann zeta for beta > 1."""
-    return hurwitz_zeta(beta, 1.0, tol)
+    return hurwitz_zeta(beta, 1.0)
+
+
+def residue_weights(q: int, beta: float) -> tuple[list[float], float]:
+    """Class sums w[r] = sum_{c >= 1, c = r mod q} c^-beta, r = 0..q-1, and their error bound.
+
+    w[r] = q^-beta zeta(beta, r/q), with a = 1 for the class r = 0, so that
+    sum(w) = zeta(beta).  The second value bounds sum_r |w[r] - exact w[r]|.
+    """
+    if q < 1:
+        raise ValueError(f"residue_weights requires q >= 1, got {q}")
+    scale = float(q) ** -beta
+    weights = []
+    err = 0.0
+    for r in range(q):
+        value, bound = hurwitz_zeta_bounded(beta, r / q if r else 1.0)
+        weights.append(scale * value)
+        err += scale * bound
+    return weights, err

@@ -55,7 +55,8 @@ def _psi(x: int, k: int) -> int:
         return 1
     if kk == 0:
         return x.bit_length()
-    key = (x << 11) | kk
+    # kk < pi(10^6) < 2^17, the prime table's reach, so the key is collision-free
+    key = (x << 17) | kk
     v = _psi_memo.get(key)
     if v is None:
         v = x.bit_length()

@@ -1,8 +1,8 @@
 """Command-line surface: one subcommand per operation, JSON/CSV output.
 
-Exit codes: 0 on success, 2 when a checked contract is violated (the witness
-is printed), 1 on usage errors.  Config precedence is flags, then AFFKMS_*
-environment variables, then defaults.  Output is deterministic for a fixed
+Exit codes: 0 on success, 2 when a checked contract or a numerical guard is
+violated (the witness is printed), 1 on usage errors.  Config precedence is
+flags, then AFFKMS_* environment variables, then defaults.  Output is deterministic for a fixed
 seed and config; NaN/inf never reach the serializer.
 """
 
@@ -23,6 +23,7 @@ from .arith import PrimeSet, partial_zeta
 from .algebra import Monomial, projection_eF
 from .measures import (
     AtomicMeasure,
+    NotOrbitInvariantError,
     NotSubconformalError,
     check_subconformal,
     decompose,
@@ -94,7 +95,6 @@ class RunConfig:
     truncation: int
     prime_bound: int
     seed: int
-    jobs: int
     output: str | None
     format: str
 
@@ -111,7 +111,6 @@ def _config(args) -> RunConfig:
         truncation=args.truncation,
         prime_bound=args.prime_bound,
         seed=args.seed,
-        jobs=args.jobs,
         output=args.output,
         format=args.format,
     )
@@ -194,7 +193,7 @@ def _load_measure(path: str) -> AtomicMeasure:
         raise UsageError(f"bad measure schema in {path}: {err}") from None
 
 
-def _parse_state(text: str, config: RunConfig):
+def _parse_state(text: str):
     """State mini-language, e.g. finite:n=2,beta=1 or measure:beta=0.5,file=nu.json."""
     kind, _, rest = text.partition(":")
     fields = {}
@@ -204,12 +203,14 @@ def _parse_state(text: str, config: RunConfig):
             if not value:
                 raise UsageError(f"bad state field {item!r} in {text!r}")
             fields[key.strip()] = value.strip()
-    trunc = int(fields.get("trunc", config.truncation))
 
     def need(*names):
         missing = [n for n in names if n not in fields]
         if missing:
             raise UsageError(f"state {kind!r} needs fields {missing}")
+        unknown = sorted(set(fields) - set(names))
+        if unknown:
+            raise UsageError(f"state {kind!r} takes no fields {unknown}")
 
     try:
         if kind == "finite":
@@ -223,22 +224,20 @@ def _parse_state(text: str, config: RunConfig):
             return FromMeasure(_load_measure(fields["file"]), float(fields["beta"]))
         if kind == "lowtemp":
             need("beta", "file")
-            return LowTemp(_load_measure(fields["file"]), float(fields["beta"]), trunc)
+            return LowTemp(_load_measure(fields["file"]), float(fields["beta"]))
         if kind == "quotient":
             need("n", "m", "beta")
             return Quotient(int(fields["n"]), int(fields["m"]), float(fields["beta"]))
         if kind == "quotient-char":
             need("n", "zeta", "beta")
-            return QuotientChar(
-                int(fields["n"]), _parse_root(fields["zeta"]), float(fields["beta"]), trunc
-            )
+            return QuotientChar(int(fields["n"]), _parse_root(fields["zeta"]), float(fields["beta"]))
         if kind == "qz":
             need("level", "m", "beta")
             return QZSubgroup(int(fields["level"]), int(fields["m"]), float(fields["beta"]))
         if kind == "qz-char":
             need("level", "chi", "beta")
             return QZChar(
-                int(fields["level"]), _parse_root(fields["chi"]), float(fields["beta"]), trunc
+                int(fields["level"]), _parse_root(fields["chi"]), float(fields["beta"])
             )
     except ValueError as err:
         raise UsageError(f"bad state {text!r}: {err}") from None
@@ -250,7 +249,7 @@ def _parse_state(text: str, config: RunConfig):
 
 def _describe_spec(spec) -> dict:
     doc = {"kind": type(spec).__name__}
-    for field in ("n", "m", "level", "beta", "truncation"):
+    for field in ("n", "m", "level", "beta"):
         if hasattr(spec, field):
             doc[field] = getattr(spec, field)
     if hasattr(spec, "zeta"):
@@ -274,7 +273,7 @@ def _describe_monomial(x) -> dict:
 
 
 def cmd_eval_state(args, config):
-    spec = _parse_state(args.state, config)
+    spec = _parse_state(args.state)
     x = _parse_monomial(args.monomial)
     sv = eval_state(spec, x)
     doc = {
@@ -289,7 +288,7 @@ def cmd_eval_state(args, config):
 
 
 def cmd_kms_check(args, config):
-    spec = _parse_state(args.state, config)
+    spec = _parse_state(args.state)
     rng = random.Random(config.seed)
     worst = 0.0
     witness = None
@@ -329,6 +328,11 @@ def cmd_decompose(args, config):
             },
             config,
         )
+        raise ContractViolation(str(err)) from None
+    except NotOrbitInvariantError as err:
+        _emit_json({"ok": False, "diagnostic": "not constant on the roots of each order",
+                    "witness_atom": str(err.atom), "witness_weight": err.weight,
+                    "expected_weight": err.expected}, config)
         raise ContractViolation(str(err)) from None
     _emit_json(
         {
@@ -402,7 +406,7 @@ def cmd_limit_beta1(args, config):
 
 
 def cmd_superposition_check(args, config):
-    dev, tail = superposition_check(args.n, args.beta, config.truncation)
+    dev, tail = superposition_check(args.n, args.beta)
     _emit_json(
         {"n": args.n, "beta": args.beta, "max_deviation": dev, "tail_bound": tail,
          "ok": dev <= tail + 1e-12},
@@ -423,7 +427,7 @@ def cmd_kappa(args, config):
 
 def cmd_quotient_eval(args, config):
     if args.zeta is not None:
-        spec = QuotientChar(args.n, _parse_root(args.zeta), args.beta, config.truncation)
+        spec = QuotientChar(args.n, _parse_root(args.zeta), args.beta)
     else:
         if args.m is None:
             raise UsageError("quotient-eval needs --m (divisor state) or --zeta (character state)")
@@ -480,7 +484,7 @@ def cmd_qz_coherence(args, config):
 
 
 def cmd_reconstruct(args, config):
-    spec = _parse_state(args.state, config)
+    spec = _parse_state(args.state)
     if not isinstance(spec, (FiniteN, FromMeasure)):
         raise UsageError("reconstruct works with finite:... or measure:... states")
     F = _parse_primes(args.f)
@@ -497,7 +501,7 @@ def cmd_reconstruct(args, config):
 
 
 def cmd_e_f_mass(args, config):
-    spec = _parse_state(args.state, config)
+    spec = _parse_state(args.state)
     F = _parse_primes(args.f)
     beta = spec.beta
     got = eval_element(spec, projection_eF(F)).value
@@ -639,7 +643,7 @@ def cmd_self_test(args, config):
             numbers = [int(t) for t in args.criteria.split(",") if t.strip()]
         except ValueError as err:
             raise UsageError(f"bad criteria list {args.criteria!r}: {err}") from None
-    results = acceptance.run_all(numbers, corrupt=args.corrupt, jobs=config.jobs)
+    results = acceptance.run_all(numbers, corrupt=args.corrupt)
     for r in results:
         print(r.line())
     doc = {
@@ -666,13 +670,11 @@ def build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=_env("TOL", 1e-10, float),
                         help="comparison tolerance (default 1e-10)")
     common.add_argument("--truncation", type=int, default=_env("TRUNCATION", 100_000, int),
-                        help="series truncation bound (default 1e5)")
+                        help="series truncation bound of t-beta and reconstruct (default 1e5)")
     common.add_argument("--prime-bound", type=int, default=_env("PRIME_BOUND", 30, int),
                         help="extra-prime window for subconformality checks (default 30)")
     common.add_argument("--seed", type=int, default=_env("SEED", 20_260_811, int),
                         help="seed for random probes")
-    common.add_argument("--jobs", type=int, default=_env("JOBS", 1, int),
-                        help="worker pool size for sweep commands")
     common.add_argument("--format", choices=("json", "csv"),
                         default=_env("FORMAT", "json", str), help="output format")
     common.add_argument("--output", default=_env("OUTPUT", None, str),
@@ -803,7 +805,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ContractViolation as err:
+    except (ContractViolation, RuntimeError) as err:
         print(f"violation: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

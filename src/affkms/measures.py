@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import cos, gcd, lcm, pi, sin
+from math import cos, fsum, gcd, lcm, pi, sin
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,9 +28,9 @@ from .arith import (
     PrimeSet,
     divisors,
     factorize,
-    hurwitz_zeta,
     mobius,
     primes_up_to,
+    residue_weights,
     squarefree_products,
     totient,
     totient_beta,
@@ -352,12 +352,28 @@ class NotSubconformalError(ValueError):
         )
 
 
+class NotOrbitInvariantError(ValueError):
+    """The roots of some order carry unequal weights, so the measure is no mixture of
+    extremal measures and, for 0 < beta <= 1, not subconformal; carries the worst atom."""
+
+    def __init__(self, atom: RootOfUnity, weight: float, expected: float):
+        self.atom = atom
+        self.weight = weight
+        self.expected = expected
+        super().__init__(
+            f"not subconformal: atom {atom} carries {weight:.6g}, but the roots of "
+            f"order {atom.den} carry {expected:.6g} on average"
+        )
+
+
 def decompose(nu: AtomicMeasure, beta: float, tol: float = 1e-9) -> dict[int, float]:
     """Coefficients lambda_n of the unique expansion nu = sum_n lambda_n nu_{beta,n}.
 
     lambda_n = n^beta * sum_d mu(d) nu(Z_{nd}^*) / phi_beta(nd); the d-sum is
     finite because nu(Z_m^*) = 0 unless m divides the support level.  Raises
-    :class:`NotSubconformalError` when some coefficient drops below -tol.
+    :class:`NotOrbitInvariantError` when the atoms of some order d do not all
+    carry nu(Z_d^*)/phi(d) within tol, and :class:`NotSubconformalError` when
+    some coefficient drops below -tol.
     """
     if not 0 < beta <= 1:
         raise ValueError(f"decompose requires 0 < beta <= 1, got {beta}")
@@ -367,6 +383,11 @@ def decompose(nu: AtomicMeasure, beta: float, tol: float = 1e-9) -> dict[int, fl
     primitive_mass: dict[int, float] = {}
     for z, w in nu.atoms().items():
         primitive_mass[z.den] = primitive_mass.get(z.den, 0.0) + w
+    shares = {d: m / totient(d) for d, m in primitive_mass.items()}
+    deviations = [(abs(nu.weight(z) - s), z) for d, s in shares.items() for z in epsilon(d).atoms()]
+    dev, z = max(deviations, key=lambda t: t[0], default=(0.0, ONE))
+    if dev > tol:
+        raise NotOrbitInvariantError(z, nu.weight(z), shares[z.den])
     out: dict[int, float] = {}
     for n in divisors(L):
         lam = 0.0
@@ -415,16 +436,15 @@ def t_beta(nu: AtomicMeasure, beta: float, C: int) -> tuple[AtomicMeasure, float
 
 
 def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
-    """Exact image of the point mass at z: (n^-beta/zeta(beta)) sum_k zeta(beta,k/n) d_{z^k}."""
+    """Exact image of the point mass at z: the atom at z^r is w[r] / sum(w), r mod ord(z).
+
+    w are the residue-class sums of c^-beta (:func:`affkms.arith.residue_weights`).
+    """
     if beta <= 1:
         raise ValueError(f"t_beta_exact_root requires beta > 1, got {beta}")
-    n = z.den
-    z_full = zeta(beta)
-    scale = float(n) ** -beta / z_full
-    acc: dict[RootOfUnity, float] = {}
-    for k in range(1, n + 1):
-        acc[z.pow(k)] = scale * hurwitz_zeta(beta, k / n)
-    return AtomicMeasure(acc, beta_tag=beta)
+    weights, _ = residue_weights(z.den, beta)
+    total = fsum(weights)
+    return AtomicMeasure({z.pow(r): w / total for r, w in enumerate(weights)}, beta_tag=beta)
 
 
 # --- JSON schema: {"level": K, "signed": bool, "atoms": [{"num","den","weight"}]} ---

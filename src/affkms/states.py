@@ -9,16 +9,16 @@ arithmetic factor is
 
 the k-th moment of the extremal measure of index c = n/gcd(n,k).
 
-Series-backed variants (the low-temperature ones) are truncated explicitly
-and always report the tail bound alongside the value; there are no hidden
-convergence claims.
+Series-backed variants (the low-temperature ones) sum the c^-beta series
+exactly by residue class and always report the propagated remainder bound
+alongside the value; there are no hidden convergence claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, pi, sin
+from math import fsum, gcd, pi
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -29,11 +29,11 @@ from .arith import (
     divisors,
     mobius,
     partial_zeta,
+    residue_weights,
     smooth_numbers,
     squarefree_products,
     totient,
     totient_beta,
-    zeta,
 )
 from .algebra import (
     AlgebraElement,
@@ -99,13 +99,10 @@ class LowTemp:
 
     eta: AtomicMeasure
     beta: float
-    truncation: int = 100_000
 
     def __post_init__(self):
         if self.beta <= 1:
             raise ValueError(f"LowTemp requires beta > 1, got {self.beta}")
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,12 +121,11 @@ class Quotient:
 
 @dataclass(frozen=True)
 class QuotientChar:
-    """Finite-quotient state of a root of unity zeta (beta > 1, truncated series)."""
+    """Finite-quotient state of a root of unity zeta (beta > 1, exact series)."""
 
     n: int
     zeta: RootOfUnity
     beta: float
-    truncation: int = 100_000
 
     def __post_init__(self):
         if self.n < 1 or self.n % self.zeta.den != 0:
@@ -159,7 +155,6 @@ class QZChar:
     level: int
     chi: RootOfUnity
     beta: float
-    truncation: int = 100_000
 
     def __post_init__(self):
         if self.level < 1 or self.level % self.chi.den != 0:
@@ -202,25 +197,6 @@ def h_beta(c: int, beta: float) -> float:
     return float(c) ** -beta * s
 
 
-def _periodic_series(phase_num: int, phase_den: int, beta: float, C: int) -> tuple[complex, float]:
-    """sum_{c<=C} c^-beta e^(2 pi i c num/den) / zeta(beta), with its tail bound."""
-    z_full = zeta(beta)
-    cs = np.arange(1, C + 1, dtype=np.float64)
-    vals = cs**-beta
-    partial = float(np.sum(vals))
-    q = phase_den
-    residues = np.arange(1, C + 1) % q
-    by_res = np.bincount(residues, weights=vals, minlength=q)
-    acc = 0j
-    for r in range(q):
-        w = float(by_res[r])
-        if w == 0.0:
-            continue
-        theta = 2.0 * pi * ((phase_num * r) % q) / q
-        acc += w * complex(cos(theta), sin(theta))
-    return acc / z_full, (z_full - partial) / z_full
-
-
 def _qz_exponent(x: RootOfUnity, n: int) -> int:
     """Integer k with x = k/n in Q/Z (requires ord(x) | n)."""
     if n % x.den != 0:
@@ -229,7 +205,7 @@ def _qz_exponent(x: RootOfUnity, n: int) -> int:
 
 
 def eval_state(spec: StateSpec, x: Monomial | QZMonomial) -> StateValue:
-    """Value of the state on a single spanning monomial (with tail bound when truncated)."""
+    """Value of the state on a single spanning monomial (with its error bound for series)."""
     if isinstance(spec, INTEGER_FAMILY):
         if not isinstance(x, Monomial):
             raise TypeError(f"{type(spec).__name__} expects an integer monomial, got {type(x).__name__}")
@@ -256,22 +232,20 @@ def eval_state(spec: StateSpec, x: Monomial | QZMonomial) -> StateValue:
     if isinstance(spec, FromMeasure):
         return StateValue(apow * fourier(spec.nu, k), None)
     if isinstance(spec, LowTemp):
-        val, tail = _low_temp_moment(spec.eta, k, spec.beta, spec.truncation)
+        val, tail = _series_moment(spec.eta, k, spec.beta)
         return StateValue(apow * val, apow * tail)
     if isinstance(spec, Quotient):
         c = spec.m // gcd(spec.m, k)
         return StateValue(complex(apow * h_beta(c, spec.beta)), None)
     if isinstance(spec, QuotientChar):
-        w = spec.zeta.pow(k)
-        val, tail = _periodic_series(w.num, w.den, spec.beta, spec.truncation)
+        val, tail = _series_moment(dirac(spec.zeta), k, spec.beta)
         return StateValue(apow * val, apow * tail)
     if isinstance(spec, QZSubgroup):
         q = x.x.den
         c = q // gcd(q, spec.m)
         return StateValue(complex(apow * h_beta(c, spec.beta)), None)
     if isinstance(spec, QZChar):
-        w = spec.chi.pow(k)
-        val, tail = _periodic_series(w.num, w.den, spec.beta, spec.truncation)
+        val, tail = _series_moment(dirac(spec.chi), k, spec.beta)
         return StateValue(apow * val, apow * tail)
     raise TypeError(f"unknown state spec {spec!r}")
 
@@ -280,22 +254,24 @@ def _is_series(spec: StateSpec) -> bool:
     return isinstance(spec, (LowTemp, QuotientChar, QZChar))
 
 
-def _low_temp_moment(eta: AtomicMeasure, k: int, beta: float, C: int) -> tuple[complex, float]:
-    # moment of eta under the normalized series: z^(kc) depends on c mod K only
+def _series_moment(eta: AtomicMeasure, k: int, beta: float) -> tuple[complex, float]:
+    """k-th moment of zeta(beta)^-1 sum_c c^-beta omega_c* eta, with its error bound.
+
+    z^(kc) depends on c only modulo q = K/gcd(K, k), K the support level, so
+    the series folds exactly into the q residue-class sums w[r]:
+    value = sum_r w[r] eta^(k r) / sum_r w[r].  Each |eta^(k r)| is at most
+    the total variation V of eta, so weights within E of exact in total
+    move the value by at most 2 V E / (sum_r w[r] - E).
+    """
     K = eta.support_level()
-    z_full = zeta(beta)
-    cs = np.arange(1, C + 1, dtype=np.float64)
-    vals = cs**-beta
-    partial = float(np.sum(vals))
-    residues = np.arange(1, C + 1) % K
-    by_res = np.bincount(residues, weights=vals, minlength=K)
+    q = K // gcd(K, k)
+    weights, err = residue_weights(q, beta)
     acc = 0j
-    for r in range(K):
-        w = float(by_res[r])
-        if w != 0.0:
-            acc += w * fourier(eta, k * r)
-    mass = abs(eta.mass())
-    return acc / z_full, (z_full - partial) / z_full * mass
+    for r, w in enumerate(weights):
+        acc += w * fourier(eta, k * r)
+    total = fsum(weights)
+    variation = sum(abs(w) for w in eta.atoms().values())
+    return acc / total, 2.0 * variation * err / (total - err)
 
 
 def eval_element(spec: StateSpec, elem: AlgebraElement) -> StateValue:
@@ -427,17 +403,17 @@ _SUPERPOSITION_MONOMIALS = (
 )
 
 
-def superposition_check(n: int, beta: float, C: int) -> tuple[float, float]:
+def superposition_check(n: int, beta: float) -> tuple[float, float]:
     """Max deviation between the closed form and the uniform superposition of
     point-mass low-temperature states over the primitive n-th roots.
 
-    Returns (max deviation over the test monomials, the truncation tail bound).
+    Returns (max deviation over the test monomials, the series error bound).
     """
     if beta <= 1:
         raise ValueError(f"superposition_check requires beta > 1, got {beta}")
     prim = [RootOfUnity(j, n) for j in range(n) if gcd(j, n) == 1]
     phi_n = len(prim)
-    specs = [LowTemp(dirac(xi), beta, C) for xi in prim]
+    specs = [LowTemp(dirac(xi), beta) for xi in prim]
     test = _SUPERPOSITION_MONOMIALS + (Monomial(1, n, 1),)
     max_dev = 0.0
     max_tail = 0.0
@@ -448,7 +424,7 @@ def superposition_check(n: int, beta: float, C: int) -> tuple[float, float]:
         for s in specs:
             sv = eval_state(s, m)
             acc += sv.value
-            tail += sv.tail or 0.0
+            tail += sv.tail
         dev = abs(closed - acc / phi_n)
         max_dev = max(max_dev, dev)
         max_tail = max(max_tail, tail / phi_n)

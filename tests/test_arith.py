@@ -12,10 +12,12 @@ from affkms.arith import (
     divisors,
     factorize,
     hurwitz_zeta,
+    hurwitz_zeta_bounded,
     is_prime,
     mobius,
     mobius_invert,
     partial_zeta,
+    residue_weights,
     smooth_numbers,
     squarefree_products,
     totient,
@@ -238,6 +240,34 @@ class TestHurwitzZeta:
                 (2.0**beta - 1.0) * zeta(beta), rel=1e-12
             )
 
+    GRID_BETAS = (1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 1.1, 1.5, 2.0, 3.7, 7.0, 12.0, 20.0)
+    GRID_AS = (1e-3, 0.01, 0.1, 1 / 3, 0.5, 0.77, 0.999, 1.0)
+
+    def test_matches_mpmath_on_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for beta in self.GRID_BETAS:
+            for a in self.GRID_AS:
+                want = mpmath.zeta(beta, a)
+                assert abs((hurwitz_zeta(beta, a) - want) / want) <= 1e-15, (beta, a)
+
+    def test_bound_covers_remainder(self):
+        # the remainder of the 30-term head plus pole term, midpoint term and
+        # four Bernoulli corrections, all in high precision; the head cancels
+        # from zeta(beta, a) - head = zeta(beta, 30 + a)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for beta in self.GRID_BETAS:
+            s = mpmath.mpf(beta)
+            for a in self.GRID_AS:
+                x = 30 + mpmath.mpf(a)
+                tail = x ** (1 - s) / (s - 1) + x**-s / 2
+                for j in range(1, 5):
+                    tail += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                             * mpmath.rf(s, 2 * j - 1) * x ** (-s - 2 * j + 1))
+                remainder = abs(mpmath.zeta(s, x) - tail)
+                assert remainder <= hurwitz_zeta_bounded(beta, a)[1], (beta, a)
+
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 0.5)
@@ -245,6 +275,26 @@ class TestHurwitzZeta:
             hurwitz_zeta(0.5, 0.5)
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, 1.5)
+
+
+class TestResidueWeights:
+    def test_classes_sum_to_zeta(self):
+        for q in (1, 4, 7, 12):
+            for beta in (1 + 1e-9, 1.5, 4.0):
+                weights, err = residue_weights(q, beta)
+                assert len(weights) == q
+                assert math.fsum(weights) == pytest.approx(zeta(beta), rel=1e-14)
+                assert 0 < err < 1e-13 * zeta(beta)
+
+    def test_against_direct_class_sums(self):
+        # class r of 5 at beta = 3, summed directly with an integral tail bracket
+        weights, _ = residue_weights(5, 3.0)
+        for r in range(5):
+            cs = range(r or 5, 200_000, 5)
+            head = math.fsum(c**-3.0 for c in cs)
+            last = cs[-1] + 5
+            lo, hi = head + last**-2.0 / 10, head + (last - 5) ** -2.0 / 10
+            assert lo - 1e-15 <= weights[r] <= hi + 1e-15
 
 
 class TestConcurrency:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from affkms import asymptotics
 from affkms.arith import PrimeSet, RangeError, primes_up_to
 from affkms.asymptotics import (
     EULER_GAMMA,
@@ -64,6 +65,14 @@ class TestPsiCount:
             x = rng.randint(2, 50_000)
             assert psi_count(x, 7) <= psi_count(x + rng.randint(1, 100), 7)
             assert psi_count(x, 7) <= psi_count(x, 11)
+
+    def test_memo_keys_distinct_past_prime_index_2048(self):
+        # the index of 19000's largest prime exceeds 2048; a key packing the
+        # index into 11 bits hands this call an entry of the first one
+        asymptotics._psi_memo.clear()
+        psi_count(20001, 601)
+        n_primes = len(primes_up_to(20000)) - len(primes_up_to(19000))
+        assert psi_count(20000, 19000) == 20000 - n_primes
 
     def test_domain_guards(self):
         with pytest.raises(RangeError):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from affkms.cli import main
-from affkms.measures import dirac, epsilon, extremal_measure, measure_to_json, root
+from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
 
 
 @pytest.fixture
@@ -38,11 +38,22 @@ class TestEvalState:
     def test_lowtemp_reports_tail(self, run, measure_file):
         path = measure_file(epsilon(4))
         code, out, _ = run(
-            "eval-state", "--state", f"lowtemp:beta=2,file={path},trunc=1000",
+            "eval-state", "--state", f"lowtemp:beta=2,file={path}",
             "--monomial", "2,1,2",
         )
         assert code == 0
-        assert "tail_bound" in json.loads(out)
+        doc = json.loads(out)
+        assert doc["tail_bound"] < 1e-12
+        assert "truncation" not in doc["spec"]
+
+    def test_unknown_state_field_is_usage_error(self, run, measure_file):
+        path = measure_file(epsilon(4))
+        code, _, err = run(
+            "eval-state", "--state", f"lowtemp:beta=2,file={path},trunc=1000",
+            "--monomial", "2,1,2",
+        )
+        assert code == 1
+        assert "trunc" in err
 
     def test_qz_monomial(self, run):
         code, out, _ = run(
@@ -88,6 +99,15 @@ class TestDecompose:
         assert "witness_index" in doc
         assert "violation" in err
 
+    def test_non_invariant_exits_2_with_atom(self, run, measure_file):
+        path = measure_file(AtomicMeasure({root(0, 1): 0.7316, root(3, 5): 0.2684}))
+        code, out, err = run("decompose", "--beta", "0.7", "--measure", path)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["witness_atom"] == "3/5"
+        assert err.startswith("violation:")
+
     def test_missing_file_is_usage_error(self, run):
         code, _, err = run("decompose", "--beta", "1.0", "--measure", "/no/such/file.json")
         assert code == 1
@@ -130,6 +150,13 @@ class TestMeasureCommands:
         assert set(w1) == set(w2)
         assert all(abs(w1[k] - w2[k]) < 1e-10 for k in w1)
 
+    def test_failed_solve_guard_exits_2(self, run):
+        code, out, err = run("extremal-measure", "--route", "inverse", "--n", "840",
+                             "--beta", "0.001")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("violation:")
+
     def test_pushforward(self, run, measure_file):
         path = measure_file(epsilon(12))
         code, out, _ = run("pushforward", "--measure", path, "--d", "8")
@@ -156,9 +183,23 @@ class TestTrendCommands:
         assert lines[0] == "beta,tv_distance,trend"
         assert len(lines) == 4
 
+    def test_limit_beta1_near_pole_matches_mpmath(self, run):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        code, out, _ = run("limit-beta1", "--z", "1/4", "--jmax", "12")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 12
+        dists = [r["distance"] for r in rows]
+        assert all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
+        for row in rows:
+            beta = row["beta"]
+            atoms = [mpmath.zeta(beta, mpmath.mpf(r) / 4 if r else 1) for r in range(4)]
+            want = sum(abs(w / sum(atoms) - mpmath.mpf(1) / 4) for w in atoms)
+            assert abs(row["distance"] - want) <= 1e-12
+
     def test_superposition(self, run):
-        code, out, _ = run("superposition-check", "--n", "4", "--beta", "2.0",
-                           "--truncation", "20000")
+        code, out, _ = run("superposition-check", "--n", "4", "--beta", "2.0")
         assert code == 0
         assert json.loads(out)["ok"] is True
 
@@ -256,10 +297,14 @@ class TestSelfTest:
 
 
 class TestEnvConfig:
-    def test_env_default_used(self, run, monkeypatch):
+    def test_env_default_used(self, run, monkeypatch, measure_file):
         monkeypatch.setenv("AFFKMS_TRUNCATION", "500")
-        code, out, _ = run("superposition-check", "--n", "1", "--beta", "3.0")
-        assert code == 0  # ran with the env truncation without error
+        code, out, _ = run("t-beta", "--measure", measure_file(dirac(root(0, 1))),
+                           "--beta", "3.0")
+        assert code == 0
+        partial = sum(c**-3.0 for c in range(1, 501))
+        apery = 1.2020569031595942  # zeta(3)
+        assert json.loads(out)["tail_mass"] == pytest.approx(1 - partial / apery, rel=1e-9)
 
     def test_bad_env_is_usage_error(self, run, monkeypatch):
         monkeypatch.setenv("AFFKMS_TRUNCATION", "many")

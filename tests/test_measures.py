@@ -4,11 +4,14 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affkms.arith import totient, totient_beta, zeta
 from affkms.measures import (
     ONE,
     AtomicMeasure,
+    NotOrbitInvariantError,
     NotSubconformalError,
     RootOfUnity,
     apply_A,
@@ -291,6 +294,17 @@ class TestDecompose:
         assert err.value.witness_n == 1
         assert err.value.coefficients[1] < 0
 
+    def test_orbit_non_invariant_rejected(self):
+        # equal mass on each order, but not spread evenly over the order-5 roots:
+        # the coefficients alone would read {1: 0.603, 5: 0.397}
+        nu = AtomicMeasure({ONE: 0.7316, root(3, 5): 0.2684})
+        with pytest.raises(NotOrbitInvariantError) as err:
+            decompose(nu, 0.7)
+        assert err.value.atom == root(3, 5)
+        assert err.value.weight == 0.2684
+        assert err.value.expected == pytest.approx(0.2684 / 4, abs=1e-15)
+        assert not check_subconformal(nu, 0.7).passed
+
     def test_mass_additivity(self):
         rng = random.Random(29)
         beta = 0.5
@@ -302,6 +316,61 @@ class TestDecompose:
                 mix = mix.plus(extremal_measure(n, beta).scaled(w))
             lam = decompose(mix, beta)
             assert sum(lam.values()) == pytest.approx(sum(weights), abs=1e-9)
+
+
+LEVEL_12_ROOTS = [RootOfUnity(j, d) for d in (1, 2, 3, 4, 6, 12) for j in range(d) if gcd(j, d) == 1]
+
+
+def reconstruction_error(lam, nu, beta):
+    recon = AtomicMeasure()
+    for n, w in lam.items():
+        recon = recon.plus(extremal_measure(n, beta).scaled(w))
+    return max_atom_diff(recon, nu)
+
+
+class TestDecomposeContract:
+    """decompose either reconstructs its input or raises a typed error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from([1, 2, 3, 4, 6, 12]), st.floats(0.01, 1.0), min_size=1),
+        st.sampled_from([0.3, 0.7, 1.0]),
+        st.sampled_from([z for z in LEVEL_12_ROOTS if z.den > 2]),
+        st.floats(0.0, 0.5),
+    )
+    def test_mixture_with_mass_moved_within_an_orbit(self, coeffs, beta, z, t):
+        # the order masses, and so the coefficients, stay those of a mixture;
+        # only the atoms can tell that mass moved from z to its conjugate
+        atoms: dict[RootOfUnity, float] = {}
+        for n, c in coeffs.items():
+            for x, w in extremal_measure(n, beta).atoms().items():
+                atoms[x] = atoms.get(x, 0.0) + c * w
+        moved = t * atoms.get(z, 0.0)
+        conj = root(-z.num, z.den)
+        atoms[z] = atoms.get(z, 0.0) - moved
+        atoms[conj] = atoms.get(conj, 0.0) + moved
+        nu = AtomicMeasure({x: w for x, w in atoms.items() if w > 0})
+        try:
+            lam = decompose(nu, beta)
+        except NotOrbitInvariantError:
+            assert moved > 1e-9
+            return
+        assert reconstruction_error(lam, nu, beta) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from([1, 2, 3, 4, 6, 12]), st.floats(0.01, 1.0), min_size=1),
+        st.sampled_from([0.3, 0.7, 1.0]),
+    )
+    def test_orbit_invariant_measure(self, order_mass, beta):
+        # spreading each order's mass evenly over its roots never trips the orbit check
+        nu = AtomicMeasure({z: order_mass[z.den] / totient(z.den)
+                            for z in LEVEL_12_ROOTS if z.den in order_mass})
+        try:
+            lam = decompose(nu, beta)
+        except NotSubconformalError:
+            return
+        assert reconstruction_error(lam, nu, beta) <= 1e-9
 
 
 class TestTBeta:

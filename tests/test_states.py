@@ -12,7 +12,9 @@ from affkms.measures import (
     dirac,
     epsilon,
     extremal_measure,
+    fourier,
     root,
+    t_beta,
 )
 from affkms.states import (
     FiniteN,
@@ -329,17 +331,16 @@ class TestBetaLimit:
 
 class TestSuperposition:
     def test_single_point_index(self):
-        dev, tail = superposition_check(1, 2.0, 50_000)
+        dev, tail = superposition_check(1, 2.0)
         assert dev <= tail
 
     def test_index_four(self):
-        dev, tail = superposition_check(4, 2.0, 100_000)
+        dev, tail = superposition_check(4, 2.0)
         assert dev <= tail
 
     def test_index_six_closer_to_critical(self):
-        dev, tail = superposition_check(6, 1.5, 1_000_000)
-        # the U^n test monomial saturates the bound exactly; allow roundoff
-        assert dev <= tail + 1e-12
+        dev, tail = superposition_check(6, 1.5)
+        assert dev <= tail + 1e-12  # allow roundoff
 
 
 class TestQuotientStates:
@@ -375,10 +376,10 @@ class TestQuotientStates:
     def test_quotient_char_matches_low_temp_on_integer_monomials(self):
         # the modulus-n character state at zeta agrees with the point-mass
         # low-temperature series of the same root
-        beta, C = 2.0, 20_000
+        beta = 2.0
         z = root(1, 6)
-        char_spec = QuotientChar(6, z, beta, C)
-        low_spec = LowTemp(dirac(z), beta, C)
+        char_spec = QuotientChar(6, z, beta)
+        low_spec = LowTemp(dirac(z), beta)
         for k in range(-3, 4):
             for a in (1, 2, 5):
                 v1 = eval_state(char_spec, Monomial(a, k, a))
@@ -387,12 +388,12 @@ class TestQuotientStates:
                 assert v1.tail == pytest.approx(v2.tail, rel=1e-9)
 
     def test_qz_char_consistent_with_quotient_char(self):
-        beta, C = 1.8, 10_000
+        beta = 1.8
         chi = root(1, 12)  # character with chi(1/12) = e^(2 pi i /12)
-        spec = QZChar(12, chi, beta, C)
+        spec = QZChar(12, chi, beta)
         x = QZMonomial(2, root(1, 4), 2)  # = R^3 at level 12
         got = eval_state(spec, x)
-        want = eval_state(QuotientChar(12, chi, beta, C), Monomial(2, 3, 2))
+        want = eval_state(QuotientChar(12, chi, beta), Monomial(2, 3, 2))
         assert abs(got.value - want.value) < 1e-14
 
     def test_gauge_invariance_all_specs(self):
@@ -400,15 +401,15 @@ class TestQuotientStates:
             FiniteN(6, 0.5),
             LebesgueInf(0.5),
             FromMeasure(extremal_measure(4, 0.5), 0.5),
-            LowTemp(dirac(ONE), 1.5, 100),
+            LowTemp(dirac(ONE), 1.5),
         ]
         for spec in specs:
             assert eval_state(spec, Monomial(2, 1, 3)).value == 0
         qz_specs = [
             Quotient(6, 3, 0.5),
-            QuotientChar(6, root(1, 6), 1.5, 100),
+            QuotientChar(6, root(1, 6), 1.5),
             QZSubgroup(6, 2, 0.5),
-            QZChar(6, root(1, 6), 1.5, 100),
+            QZChar(6, root(1, 6), 1.5),
         ]
         for spec in qz_specs:
             assert eval_state(spec, QZMonomial(2, root(1, 6), 3)).value == 0
@@ -416,13 +417,45 @@ class TestQuotientStates:
 
 class TestLowTempSeries:
     def test_tail_reported_and_valid(self):
-        spec = LowTemp(epsilon(4), 1.5, 2000)
-        sv = eval_state(spec, Monomial(2, 1, 2))
-        assert sv.tail is not None
-        finer = eval_state(LowTemp(epsilon(4), 1.5, 200_000), Monomial(2, 1, 2))
-        assert abs(sv.value - finer.value) <= sv.tail + 1e-12
+        # the exact series against the moment of the truncated image, whose
+        # missing mass is at most its tail
+        sv = eval_state(LowTemp(epsilon(4), 1.5), Monomial(2, 1, 2))
+        assert isinstance(sv.tail, float)
+        image, tail = t_beta(epsilon(4), 1.5, 200_000)
+        apow = 2**-1.5
+        assert abs(sv.value - apow * fourier(image, 1)) <= apow * tail + sv.tail + 1e-12
+
+    def test_series_families_match_mpmath(self):
+        # value = a^-beta sum_r W_r moment(k r), W_r = q^-beta zeta(beta, r/q) / zeta(beta)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def series(atoms, beta, k):
+            q = 1
+            for z in atoms:
+                q = q * z.den // gcd(q, z.den)
+            total = 0
+            for r in range(q):
+                w = mpmath.zeta(beta, mpmath.mpf(r) / q if r else 1) * mpmath.mpf(q) ** -beta
+                total += w * sum(c * mpmath.expjpi(2 * mpmath.mpf(k * r * z.num) / z.den)
+                                 for z, c in atoms.items())
+            return complex(total / mpmath.zeta(beta))
+
+        eta = {root(1, 4): 0.5, root(2, 3): 0.3, ONE: 0.2}
+        for beta in (1 + 1e-6, 1.5, 3.0):
+            for a, k in ((1, 0), (1, 1), (2, 5), (3, -2)):
+                want = a**-beta * series(eta, beta, k)
+                sv = eval_state(LowTemp(AtomicMeasure(eta), beta), Monomial(a, k, a))
+                assert abs(sv.value - want) <= sv.tail + 1e-12
+                assert sv.tail < 1e-12
+                xi = root(5, 12)
+                want = a**-beta * series({xi: 1.0}, beta, k)
+                sv = eval_state(QuotientChar(12, xi, beta), Monomial(a, k, a))
+                assert abs(sv.value - want) <= sv.tail + 1e-12
+                sv = eval_state(QZChar(12, xi, beta), QZMonomial(a, root(k, 12), a))
+                assert abs(sv.value - want) <= sv.tail + 1e-12
 
     def test_constant_term(self):
-        # k = 0 gives a^-beta * (partial zeta ratio), approaching a^-beta
-        sv = eval_state(LowTemp(dirac(ONE), 2.0, 100_000), Monomial(3, 0, 3))
+        # k = 0 gives a^-beta times the mass of the base measure
+        sv = eval_state(LowTemp(dirac(ONE), 2.0), Monomial(3, 0, 3))
         assert sv.value.real == pytest.approx(3**-2.0, abs=sv.tail + 1e-12)
