@@ -39,13 +39,12 @@ from .states import (
     FiniteN,
     FromMeasure,
     LebesgueInf,
-    QZMonomial,
     apply_kappa,
+    coherence_sweep,
     eval_element,
     eval_state,
-    kms_residual,
+    kms_sweep,
     limit_beta1,
-    qz_coherence,
     reconstruct_check,
     subconformal_witness_value,
     weak_star_gap,
@@ -78,7 +77,7 @@ class CriterionResult:
         return f"criterion {self.number:02d} {status} ({self.elapsed:6.2f}s) {self.name}: {self.detail}"
 
 
-def _rand_monomial(rng, hi=20, khi=15):
+def _rand_monomial(rng, hi, khi):
     return Monomial(rng.randint(1, hi), rng.randint(-khi, khi), rng.randint(1, hi))
 
 
@@ -151,12 +150,7 @@ def criterion_4() -> tuple[bool, str]:
     for n, w in ((4, 0.35), (9, 0.4), (10, 0.25)):
         mixture = mixture.plus(extremal_measure(n, 0.5).scaled(w))
     specs = [FiniteN(6, 0.8), LebesgueInf(1.0), FromMeasure(mixture, 0.5)]
-    worst = 0.0
-    for spec in specs:
-        rng = random.Random(SEED)
-        for _ in range(1000):
-            x, y = _rand_monomial(rng), _rand_monomial(rng)
-            worst = max(worst, kms_residual(spec, x, y))
+    worst = max(kms_sweep(spec, 1000, random.Random(SEED))[0] for spec in specs)
     return worst <= 1e-10, f"max residual {worst:.2e} over 3x1000 pairs (tol 1e-10)"
 
 
@@ -266,18 +260,9 @@ def criterion_10() -> tuple[bool, str]:
 def criterion_11() -> tuple[bool, str]:
     """Level restriction coherence for every (N <= 24, m | N, n | N)."""
     rng = random.Random(SEED)
-    worst = 0.0
-    count = 0
-    for N in range(1, 25):
-        for m in divisors(N):
-            for n in divisors(N):
-                for _ in range(20):
-                    q = rng.choice(divisors(n))
-                    num = rng.choice([j for j in range(q) if gcd(j, q) == 1])
-                    x = QZMonomial(rng.randint(1, 8), root(num, q), rng.randint(1, 8))
-                    lhs, rhs = qz_coherence(N, m, n, 0.7, x)
-                    worst = max(worst, abs(lhs - rhs))
-                    count += 1
+    sweeps = [coherence_sweep(N, 0.7, 20, rng) for N in range(1, 25)]
+    worst = max(gap for gap, _, _ in sweeps)
+    count = sum(checks for _, _, checks in sweeps)
     return worst <= 1e-12, f"max deviation {worst:.2e} over {count} checks (tol 1e-12)"
 
 

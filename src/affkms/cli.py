@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per operation, JSON/CSV output.
 
 Exit codes: 0 on success, 2 when a checked contract or a numerical guard is
-violated (the witness is printed), 1 on usage errors.  Config precedence is
-flags, then AFFKMS_* environment variables, then defaults.  Output is deterministic for a fixed
-seed and config; NaN/inf never reach the serializer.
+violated (the witness is printed), 1 on usage errors.  Each subcommand takes
+--output and only the shared options it reads; config precedence is flags,
+then AFFKMS_* environment variables, then defaults.  Output is deterministic
+for a fixed seed and config; NaN/inf never reach the serializer.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
-from dataclasses import dataclass
-from math import gcd
+from typing import NamedTuple
 
 from . import acceptance
 from .arith import PrimeSet, partial_zeta
@@ -47,11 +48,11 @@ from .states import (
     Quotient,
     QuotientChar,
     apply_kappa,
+    coherence_sweep,
     eval_element,
     eval_state,
-    kms_residual,
+    kms_sweep,
     limit_beta1,
-    qz_coherence,
     reconstruct_check,
     superposition_check,
 )
@@ -66,10 +67,12 @@ from .asymptotics import (
     wiener_sum,
 )
 
-import math
-
 
 class UsageError(Exception):
+    pass
+
+
+class ContractViolation(Exception):
     pass
 
 
@@ -89,60 +92,36 @@ def _env(name, default, cast):
         raise UsageError(f"bad AFFKMS_{name}={raw!r}: {err}") from None
 
 
-@dataclass
-class RunConfig:
-    tolerance: float
-    truncation: int
-    prime_bound: int
-    seed: int
-    output: str | None
-    format: str
+class Report(NamedTuple):
+    """What a handler hands to :func:`main`: the JSON document (None prints nothing),
+    an optional (header, rows) table printed instead with ``--format csv``, and the
+    message of a violated contract, which makes the exit code 2 after the output."""
 
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be > 0")
-        if self.truncation < 1:
-            raise UsageError("truncation must be >= 1")
+    doc: dict | None
+    table: tuple[tuple[str, ...], list[tuple]] | None = None
+    violation: str | None = None
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        tolerance=args.tol,
-        truncation=args.truncation,
-        prime_bound=args.prime_bound,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-    )
-
-
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output:
-        with open(config.output, "w") as fh:
+def _emit(report: Report, args) -> None:
+    if report.table is not None and getattr(args, "format", "json") == "csv":
+        header, rows = report.table
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    elif report.doc is not None:
+        try:
+            text = json.dumps(report.doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as err:
+            raise ContractViolation(f"non-finite value in output: {err}") from None
+    else:
+        return
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(doc, config: RunConfig) -> None:
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as err:
-        raise ContractViolation(f"non-finite value in output: {err}") from None
-    _emit(text + "\n", config)
-
-
-def _emit_csv(header, rows, config: RunConfig) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _emit(buf.getvalue(), config)
-
-
-class ContractViolation(Exception):
-    pass
 
 
 # ---- input parsing -------------------------------------------------------
@@ -193,6 +172,19 @@ def _load_measure(path: str) -> AtomicMeasure:
         raise UsageError(f"bad measure schema in {path}: {err}") from None
 
 
+# kind -> (spec class, {field: parser}), the fields in the order the class takes them
+_STATE_KINDS = {
+    "finite": (FiniteN, {"n": int, "beta": float}),
+    "lebesgue": (LebesgueInf, {"beta": float}),
+    "measure": (FromMeasure, {"file": _load_measure, "beta": float}),
+    "lowtemp": (LowTemp, {"file": _load_measure, "beta": float}),
+    "quotient": (Quotient, {"n": int, "m": int, "beta": float}),
+    "quotient-char": (QuotientChar, {"n": int, "zeta": _parse_root, "beta": float}),
+    "qz": (QZSubgroup, {"level": int, "m": int, "beta": float}),
+    "qz-char": (QZChar, {"level": int, "chi": _parse_root, "beta": float}),
+}
+
+
 def _parse_state(text: str):
     """State mini-language, e.g. finite:n=2,beta=1 or measure:beta=0.5,file=nu.json."""
     kind, _, rest = text.partition(":")
@@ -203,48 +195,19 @@ def _parse_state(text: str):
             if not value:
                 raise UsageError(f"bad state field {item!r} in {text!r}")
             fields[key.strip()] = value.strip()
-
-    def need(*names):
-        missing = [n for n in names if n not in fields]
-        if missing:
-            raise UsageError(f"state {kind!r} needs fields {missing}")
-        unknown = sorted(set(fields) - set(names))
-        if unknown:
-            raise UsageError(f"state {kind!r} takes no fields {unknown}")
-
+    if kind not in _STATE_KINDS:
+        raise UsageError(f"unknown state kind {kind!r}; expected {'|'.join(_STATE_KINDS)}")
+    spec_class, parsers = _STATE_KINDS[kind]
+    missing = [name for name in parsers if name not in fields]
+    if missing:
+        raise UsageError(f"state {kind!r} needs fields {missing}")
+    unknown = sorted(set(fields) - set(parsers))
+    if unknown:
+        raise UsageError(f"state {kind!r} takes no fields {unknown}")
     try:
-        if kind == "finite":
-            need("n", "beta")
-            return FiniteN(int(fields["n"]), float(fields["beta"]))
-        if kind == "lebesgue":
-            need("beta")
-            return LebesgueInf(float(fields["beta"]))
-        if kind == "measure":
-            need("beta", "file")
-            return FromMeasure(_load_measure(fields["file"]), float(fields["beta"]))
-        if kind == "lowtemp":
-            need("beta", "file")
-            return LowTemp(_load_measure(fields["file"]), float(fields["beta"]))
-        if kind == "quotient":
-            need("n", "m", "beta")
-            return Quotient(int(fields["n"]), int(fields["m"]), float(fields["beta"]))
-        if kind == "quotient-char":
-            need("n", "zeta", "beta")
-            return QuotientChar(int(fields["n"]), _parse_root(fields["zeta"]), float(fields["beta"]))
-        if kind == "qz":
-            need("level", "m", "beta")
-            return QZSubgroup(int(fields["level"]), int(fields["m"]), float(fields["beta"]))
-        if kind == "qz-char":
-            need("level", "chi", "beta")
-            return QZChar(
-                int(fields["level"]), _parse_root(fields["chi"]), float(fields["beta"])
-            )
+        return spec_class(*(parse(fields[name]) for name, parse in parsers.items()))
     except ValueError as err:
         raise UsageError(f"bad state {text!r}: {err}") from None
-    raise UsageError(
-        f"unknown state kind {kind!r}; expected finite|lebesgue|measure|lowtemp|"
-        f"quotient|quotient-char|qz|qz-char"
-    )
 
 
 def _describe_spec(spec) -> dict:
@@ -272,9 +235,7 @@ def _describe_monomial(x) -> dict:
 # ---- subcommand handlers -------------------------------------------------
 
 
-def cmd_eval_state(args, config):
-    spec = _parse_state(args.state)
-    x = _parse_monomial(args.monomial)
+def _state_report(spec, x) -> Report:
     sv = eval_state(spec, x)
     doc = {
         "spec": _describe_spec(spec),
@@ -283,75 +244,57 @@ def cmd_eval_state(args, config):
     }
     if sv.tail is not None:
         doc["tail_bound"] = sv.tail
-    _emit_json(doc, config)
-    return 0
+    return Report(doc)
 
 
-def cmd_kms_check(args, config):
+def cmd_eval_state(args):
+    return _state_report(_parse_state(args.state), _parse_monomial(args.monomial))
+
+
+def cmd_kms_check(args):
     spec = _parse_state(args.state)
-    rng = random.Random(config.seed)
-    worst = 0.0
-    witness = None
-    for _ in range(args.pairs):
-        x = Monomial(rng.randint(1, 20), rng.randint(-15, 15), rng.randint(1, 20))
-        y = Monomial(rng.randint(1, 20), rng.randint(-15, 15), rng.randint(1, 20))
-        r = kms_residual(spec, x, y)
-        if r > worst:
-            worst, witness = r, (x, y)
+    worst, witness = kms_sweep(spec, args.pairs, random.Random(args.seed))
     doc = {
         "spec": _describe_spec(spec),
         "pairs": args.pairs,
-        "seed": config.seed,
+        "seed": args.seed,
         "max_residual": worst,
-        "tolerance": config.tolerance,
-        "ok": worst <= config.tolerance,
+        "tolerance": args.tol,
+        "ok": worst <= args.tol,
     }
     if witness is not None:
         doc["worst_pair"] = [_describe_monomial(witness[0]), _describe_monomial(witness[1])]
-    _emit_json(doc, config)
-    if worst > config.tolerance:
-        raise ContractViolation(f"residual {worst:.3e} > {config.tolerance:.3e} at {witness}")
-    return 0
+    return Report(doc, violation=None if doc["ok"] else
+                  f"residual {worst:.3e} > {args.tol:.3e} at {witness}")
 
 
-def cmd_decompose(args, config):
+def cmd_decompose(args):
     nu = _load_measure(args.measure)
     try:
-        lam = decompose(nu, args.beta, tol=config.tolerance)
+        lam = decompose(nu, args.beta, tol=args.tol)
     except NotSubconformalError as err:
-        _emit_json(
-            {
-                "ok": False,
-                "diagnostic": "not subconformal",
-                "witness_index": err.witness_n,
-                "witness_coefficient": err.coefficients[err.witness_n],
-            },
-            config,
-        )
-        raise ContractViolation(str(err)) from None
+        return Report({"ok": False, "diagnostic": "not subconformal",
+                       "witness_index": err.witness_n,
+                       "witness_coefficient": err.coefficients[err.witness_n]},
+                      violation=str(err))
     except NotOrbitInvariantError as err:
-        _emit_json({"ok": False, "diagnostic": "not constant on the roots of each order",
-                    "witness_atom": str(err.atom), "witness_weight": err.weight,
-                    "expected_weight": err.expected}, config)
-        raise ContractViolation(str(err)) from None
-    _emit_json(
-        {
-            "beta": args.beta,
-            "coefficients": {str(n): w for n, w in sorted(lam.items())},
-            "mass": nu.mass(),
-            "ok": True,
-        },
-        config,
-    )
-    return 0
+        return Report({"ok": False, "diagnostic": "not constant on the roots of each order",
+                       "witness_atom": str(err.atom), "witness_weight": err.weight,
+                       "expected_weight": err.expected}, violation=str(err))
+    return Report({
+        "beta": args.beta,
+        "coefficients": {str(n): w for n, w in sorted(lam.items())},
+        "mass": nu.mass(),
+        "ok": True,
+    })
 
 
-def cmd_check_subconformal(args, config):
+def cmd_check_subconformal(args):
     nu = _load_measure(args.measure)
-    verdict = check_subconformal(nu, args.beta, config.prime_bound, tol=config.tolerance)
+    verdict = check_subconformal(nu, args.beta, args.prime_bound, tol=args.tol)
     doc = {
         "beta": args.beta,
-        "prime_bound": config.prime_bound,
+        "prime_bound": args.prime_bound,
         "passed": verdict.passed,
         "primes_checked": list(verdict.primes_checked),
         "note": verdict.note,
@@ -359,196 +302,131 @@ def cmd_check_subconformal(args, config):
     if verdict.witness is not None:
         F, atom, value = verdict.witness
         doc["witness"] = {"primes": list(F), "atom": str(atom), "value": value}
-    _emit_json(doc, config)
-    if not verdict.passed:
-        raise ContractViolation(f"not subconformal: witness {verdict.witness}")
-    return 0
+    return Report(doc, violation=None if verdict.passed else
+                  f"not subconformal: witness {verdict.witness}")
 
 
-def cmd_extremal_measure(args, config):
+def cmd_extremal_measure(args):
     if args.route == "closed":
         nu = extremal_measure(args.n, args.beta)
     else:
         scale = math.prod(1 - p**-args.beta for p in PrimeSet.dividing(args.n))
         nu = apply_A_inv(epsilon(args.n), args.n, args.beta, level=args.n).scaled(scale)
-    _emit_json(measure_to_dict(nu), config)
-    return 0
+    return Report(measure_to_dict(nu))
 
 
-def cmd_pushforward(args, config):
-    nu = _load_measure(args.measure)
-    _emit_json(measure_to_dict(pushforward(nu, args.d)), config)
-    return 0
+def cmd_pushforward(args):
+    return Report(measure_to_dict(pushforward(_load_measure(args.measure), args.d)))
 
 
-def cmd_t_beta(args, config):
-    nu = _load_measure(args.measure)
-    out, tail = t_beta(nu, args.beta, config.truncation)
-    _emit_json({"measure": measure_to_dict(out), "tail_mass": tail}, config)
-    return 0
+def cmd_t_beta(args):
+    out, tail = t_beta(_load_measure(args.measure), args.beta, args.truncation)
+    return Report({"measure": measure_to_dict(out), "tail_mass": tail})
 
 
-def cmd_limit_beta1(args, config):
+def cmd_limit_beta1(args):
     z = _parse_root(args.z)
-    betas = [1 + 10.0**-j for j in range(1, args.jmax + 1)]
-    rows = limit_beta1(z, betas)
-    payload = [(f"{beta:.7f}", dist, "decreasing") for beta, dist in rows]
-    if config.format == "csv":
-        _emit_csv(("beta", "tv_distance", "trend"), payload, config)
-    else:
-        _emit_json(
-            {"z": str(z), "rows": [{"beta": b, "distance": d} for b, d in rows]}, config
-        )
+    rows = limit_beta1(z, [1 + 10.0**-j for j in range(1, args.jmax + 1)])
     dists = [d for _, d in rows]
-    if not all(a >= b for a, b in zip(dists, dists[1:])):
-        raise ContractViolation(f"distance sequence not monotone: {dists}")
-    return 0
-
-
-def cmd_superposition_check(args, config):
-    dev, tail = superposition_check(args.n, args.beta)
-    _emit_json(
-        {"n": args.n, "beta": args.beta, "max_deviation": dev, "tail_bound": tail,
-         "ok": dev <= tail + 1e-12},
-        config,
+    monotone = all(a >= b for a, b in zip(dists, dists[1:]))
+    # the CSV labels are repr(beta), as in the JSON: 7 decimals would merge the rows j >= 8
+    return Report(
+        {"z": str(z), "rows": [{"beta": b, "distance": d} for b, d in rows]},
+        table=(("beta", "tv_distance", "trend"), [(b, d, "decreasing") for b, d in rows]),
+        violation=None if monotone else f"distance sequence not monotone: {dists}",
     )
-    if dev > tail + 1e-12:
-        raise ContractViolation(f"deviation {dev:.3e} exceeds tail {tail:.3e}")
-    return 0
 
 
-def cmd_kappa(args, config):
+def cmd_superposition_check(args):
+    dev, tail = superposition_check(args.n, args.beta)
+    ok = dev <= tail + 1e-12
+    return Report({"n": args.n, "beta": args.beta, "max_deviation": dev, "tail_bound": tail,
+                   "ok": ok},
+                  violation=None if ok else f"deviation {dev:.3e} exceeds tail {tail:.3e}")
+
+
+def cmd_kappa(args):
     x = _parse_monomial(args.monomial)
     if not isinstance(x, Monomial):
         raise UsageError("kappa acts on integer monomials a,k,b")
-    _emit_json({"b": args.b, "monomial": _describe_monomial(apply_kappa(args.b, x))}, config)
-    return 0
+    return Report({"b": args.b, "monomial": _describe_monomial(apply_kappa(args.b, x))})
 
 
-def cmd_quotient_eval(args, config):
+def cmd_quotient_eval(args):
     if args.zeta is not None:
         spec = QuotientChar(args.n, _parse_root(args.zeta), args.beta)
+    elif args.m is None:
+        raise UsageError("quotient-eval needs --m (divisor state) or --zeta (character state)")
     else:
-        if args.m is None:
-            raise UsageError("quotient-eval needs --m (divisor state) or --zeta (character state)")
         spec = Quotient(args.n, args.m, args.beta)
-    x = _parse_monomial(args.monomial)
-    sv = eval_state(spec, x)
-    doc = {
-        "spec": _describe_spec(spec),
-        "monomial": _describe_monomial(x),
-        "value": {"re": sv.value.real, "im": sv.value.imag},
-    }
-    if sv.tail is not None:
-        doc["tail_bound"] = sv.tail
-    _emit_json(doc, config)
-    return 0
+    return _state_report(spec, _parse_monomial(args.monomial))
 
 
-def cmd_qz_coherence(args, config):
-    from .arith import divisors
-
-    rng = random.Random(config.seed)
-    worst = 0.0
-    witness = None
-    checks = 0
-    ms = [args.subgroup] if args.subgroup is not None else divisors(args.level)
-    for m in ms:
-        if args.level % m != 0:
-            raise UsageError(f"subgroup divisor {m} does not divide the level {args.level}")
-        for n in divisors(args.level):
-            for _ in range(args.count):
-                q = rng.choice(divisors(n))
-                num = rng.choice([j for j in range(q) if gcd(j, q) == 1])
-                x = QZMonomial(rng.randint(1, 8), root(num, q), rng.randint(1, 8))
-                lhs, rhs = qz_coherence(args.level, m, n, args.beta, x)
-                gap = abs(lhs - rhs)
-                checks += 1
-                if gap > worst:
-                    worst, witness = gap, (m, n, _describe_monomial(x))
+def cmd_qz_coherence(args):
+    ms = None if args.subgroup is None else [args.subgroup]
+    worst, witness, checks = coherence_sweep(
+        args.level, args.beta, args.count, random.Random(args.seed), ms
+    )
     doc = {
         "level": args.level,
         "beta": args.beta,
         "checks": checks,
-        "seed": config.seed,
+        "seed": args.seed,
         "max_gap": worst,
-        "tolerance": config.tolerance,
-        "ok": worst <= config.tolerance,
+        "tolerance": args.tol,
+        "ok": worst <= args.tol,
     }
-    if witness:
-        doc["worst_case"] = {"m": witness[0], "n": witness[1], "monomial": witness[2]}
-    _emit_json(doc, config)
-    if worst > config.tolerance:
-        raise ContractViolation(f"coherence gap {worst:.3e} at {witness}")
-    return 0
+    if witness is not None:
+        witness = (witness[0], witness[1], _describe_monomial(witness[2]))
+        doc["worst_case"] = dict(zip(("m", "n", "monomial"), witness))
+    return Report(doc, violation=None if doc["ok"] else f"coherence gap {worst:.3e} at {witness}")
 
 
-def cmd_reconstruct(args, config):
+def cmd_reconstruct(args):
     spec = _parse_state(args.state)
     if not isinstance(spec, (FiniteN, FromMeasure)):
         raise UsageError("reconstruct works with finite:... or measure:... states")
     F = _parse_primes(args.f)
-    lhs, rhs, tail = reconstruct_check(spec, F, args.k, config.truncation)
+    lhs, rhs, tail = reconstruct_check(spec, F, args.k, args.truncation)
     gap = abs(lhs - rhs)
-    _emit_json(
-        {"k": args.k, "primes": list(F.primes), "lhs": lhs, "rhs": rhs,
-         "tail_bound": tail, "ok": gap <= tail + 1e-12},
-        config,
-    )
-    if gap > tail + 1e-12:
-        raise ContractViolation(f"reconstruction gap {gap:.3e} exceeds tail {tail:.3e}")
-    return 0
+    ok = gap <= tail + 1e-12
+    return Report({"k": args.k, "primes": list(F.primes), "lhs": lhs, "rhs": rhs,
+                   "tail_bound": tail, "ok": ok},
+                  violation=None if ok else f"reconstruction gap {gap:.3e} exceeds tail {tail:.3e}")
 
 
-def cmd_e_f_mass(args, config):
+def cmd_e_f_mass(args):
     spec = _parse_state(args.state)
     F = _parse_primes(args.f)
     beta = spec.beta
     got = eval_element(spec, projection_eF(F)).value
     expected = 1.0 / partial_zeta(F, beta) if len(F) else 1.0
     deviation = abs(got - expected)
-    _emit_json(
-        {"primes": list(F.primes), "beta": beta, "value": got.real,
-         "expected": expected, "deviation": deviation,
-         "ok": deviation <= config.tolerance},
-        config,
-    )
-    if deviation > config.tolerance:
-        raise ContractViolation(f"projection mass deviation {deviation:.3e}")
-    return 0
+    ok = deviation <= args.tol
+    return Report({"primes": list(F.primes), "beta": beta, "value": got.real,
+                   "expected": expected, "deviation": deviation, "ok": ok},
+                  violation=None if ok else f"projection mass deviation {deviation:.3e}")
 
 
-def cmd_psi_count(args, config):
-    _emit_json({"x": args.x, "y": args.y, "count": psi_count(args.x, args.y)}, config)
-    return 0
+def cmd_psi_count(args):
+    return Report({"x": args.x, "y": args.y, "count": psi_count(args.x, args.y)})
 
 
-def cmd_dickman(args, config):
-    _emit_json({"u": args.u, "h": args.h, "rho": dickman(args.u, args.h)}, config)
-    return 0
+def cmd_dickman(args):
+    return Report({"u": args.u, "h": args.h, "rho": dickman(args.u, args.h)})
 
 
-def cmd_dickman_mass(args, config):
+def cmd_dickman_mass(args):
     mass = dickman_mass(args.u_max, args.h)
     target = math.exp(0.5772156649015329)
-    _emit_json(
-        {"u_max": args.u_max, "h": args.h, "mass": mass, "e_gamma": target,
-         "error": abs(mass - target)},
-        config,
-    )
-    return 0
+    return Report({"u_max": args.u_max, "h": args.h, "mass": mass, "e_gamma": target,
+                   "error": abs(mass - target)})
 
 
-def cmd_mertens(args, config):
+def cmd_mertens(args):
     r = mertens_product(args.x)
-    if config.format == "csv":
-        _emit_csv(("x", "scaled", "rel_dev"), [(args.x, r.scaled, r.rel_dev)], config)
-    else:
-        _emit_json(
-            {"x": args.x, "product": r.product, "scaled": r.scaled, "rel_dev": r.rel_dev},
-            config,
-        )
-    return 0
+    return Report({"x": args.x, "product": r.product, "scaled": r.scaled, "rel_dev": r.rel_dev},
+                  table=(("x", "scaled", "rel_dev"), [(args.x, r.scaled, r.rel_dev)]))
 
 
 _SEQUENCES = {
@@ -559,28 +437,21 @@ _SEQUENCES = {
 }
 
 
-def cmd_smooth_sum(args, config):
+def cmd_smooth_sum(args):
     if args.sequence not in _SEQUENCES:
         raise UsageError(f"unknown sequence {args.sequence!r}; options: {sorted(_SEQUENCES)}")
     seq = _SEQUENCES[args.sequence]()
-    if args.trend:
-        rows = [
-            (n, smooth_harmonic_sum(n, seq, args.c).value, "decreasing")
-            for n in range(3, args.n_primes + 1)
-        ]
-        if config.format == "csv":
-            _emit_csv(("n_primes", "value", "trend"), rows, config)
-        else:
-            _emit_json({"sequence": args.sequence,
-                        "rows": [{"n_primes": n, "value": v} for n, v, _ in rows]}, config)
-    else:
+    if not args.trend:
         value, share = smooth_harmonic_sum(args.n_primes, seq, args.c)
-        _emit_json(
-            {"sequence": args.sequence, "n_primes": args.n_primes, "c": args.c,
-             "value": value, "truncation_share": share},
-            config,
-        )
-    return 0
+        return Report({"sequence": args.sequence, "n_primes": args.n_primes, "c": args.c,
+                       "value": value, "truncation_share": share})
+    rows = [
+        (n, smooth_harmonic_sum(n, seq, args.c).value, "decreasing")
+        for n in range(3, args.n_primes + 1)
+    ]
+    return Report({"sequence": args.sequence,
+                   "rows": [{"n_primes": n, "value": v} for n, v, _ in rows]},
+                  table=(("n_primes", "value", "trend"), rows))
 
 
 _NU_HATS = {
@@ -591,7 +462,7 @@ _NU_HATS = {
 }
 
 
-def cmd_wiener_sum(args, config):
+def cmd_wiener_sum(args):
     if args.nu_hat in _NU_HATS:
         nu_hat = _NU_HATS[args.nu_hat]
     else:
@@ -607,36 +478,24 @@ def cmd_wiener_sum(args, config):
         except (json.JSONDecodeError, ValueError, TypeError) as err:
             raise UsageError(f"bad moments file {args.nu_hat!r}: {err}") from None
     B = _parse_primes(args.b) if args.b else PrimeSet.of([])
-    if args.trend:
-        rows = []
-        for n in range(3, args.n_primes + 1):
-            v = wiener_sum(nu_hat, n, B, args.ell, args.k, args.c)
-            rows.append((n, abs(v), "vanishing" if args.nu_hat != "half-turn" else "bounded-away"))
-        if config.format == "csv":
-            _emit_csv(("n_primes", "abs_value", "trend"), rows, config)
-        else:
-            _emit_json({"rows": [{"n_primes": n, "abs_value": v} for n, v, _ in rows]}, config)
-    else:
+    if not args.trend:
         v = wiener_sum(nu_hat, args.n_primes, B, args.ell, args.k, args.c)
-        _emit_json(
-            {"n_primes": args.n_primes, "ell": args.ell, "k": args.k, "c": args.c,
-             "value": {"re": v.real, "im": v.imag}, "abs": abs(v)},
-            config,
-        )
-    return 0
+        return Report({"n_primes": args.n_primes, "ell": args.ell, "k": args.k, "c": args.c,
+                       "value": {"re": v.real, "im": v.imag}, "abs": abs(v)})
+    trend = "vanishing" if args.nu_hat != "half-turn" else "bounded-away"
+    rows = [(n, abs(wiener_sum(nu_hat, n, B, args.ell, args.k, args.c)), trend)
+            for n in range(3, args.n_primes + 1)]
+    return Report({"rows": [{"n_primes": n, "abs_value": v} for n, v, _ in rows]},
+                  table=(("n_primes", "abs_value", "trend"), rows))
 
 
-def cmd_delta_estimate(args, config):
+def cmd_delta_estimate(args):
     est = delta_estimate(args.u, args.x)
-    _emit_json(
-        {"u": args.u, "x": args.x, "value": est.value, "s_max": est.s_max,
-         "truncated": est.truncated},
-        config,
-    )
-    return 0
+    return Report({"u": args.u, "x": args.x, "value": est.value, "s_max": est.s_max,
+                   "truncated": est.truncated})
 
 
-def cmd_self_test(args, config):
+def cmd_self_test(args):
     numbers = None
     if args.criteria:
         try:
@@ -646,167 +505,187 @@ def cmd_self_test(args, config):
     results = acceptance.run_all(numbers, corrupt=args.corrupt)
     for r in results:
         print(r.line())
+    failed = sum(not r.passed for r in results)
     doc = {
-        "passed": sum(r.passed for r in results),
-        "failed": sum(not r.passed for r in results),
+        "passed": len(results) - failed,
+        "failed": failed,
         "results": [
             {"criterion": r.number, "name": r.name, "passed": r.passed,
              "detail": r.detail, "elapsed_s": round(r.elapsed, 3)}
             for r in results
         ],
     }
-    if config.output:
-        _emit_json(doc, config)
-    if doc["failed"]:
-        raise ContractViolation(f"{doc['failed']} criteria failed")
-    return 0
+    return Report(doc if args.output else None,
+                  violation=f"{failed} criteria failed" if failed else None)
 
 
-# ---- parser --------------------------------------------------------------
+# ---- command table -------------------------------------------------------
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _shared_options() -> dict:
+    """The options several subcommands share; an AFFKMS_* variable sets each default."""
+    return {
+        "tol": _arg("--tol", type=float, default=_env("TOL", 1e-10, float),
+                    help="comparison tolerance (default 1e-10)"),
+        "truncation": _arg("--truncation", type=int, default=_env("TRUNCATION", 100_000, int),
+                           help="series truncation bound (default 1e5)"),
+        "prime_bound": _arg("--prime-bound", type=int, default=_env("PRIME_BOUND", 30, int),
+                            help="extra-prime window of the verifier (default 30)"),
+        "seed": _arg("--seed", type=int, default=_env("SEED", 20_260_811, int),
+                     help="seed for random probes"),
+        "format": _arg("--format", choices=("json", "csv"), default=_env("FORMAT", "json", str),
+                       help="output format"),
+        "output": _arg("--output", default=_env("OUTPUT", None, str),
+                       help="output path (default: stdout)"),
+    }
+
+
+# name -> (handler, help, shared options it reads besides --output, its own arguments)
+COMMANDS = {
+    "eval-state": (cmd_eval_state, "evaluate a state on one monomial", (), [
+        _arg("--state", required=True, help="e.g. finite:n=2,beta=1"),
+        _arg("--monomial", required=True, help="a,k,b (or a,p/q,b for Q/Z)"),
+    ]),
+    "kms-check": (cmd_kms_check, "equilibrium identity residual over random pairs",
+                  ("tol", "seed"), [
+        _arg("--state", required=True),
+        _arg("--pairs", type=int, default=1000),
+    ]),
+    "decompose": (cmd_decompose, "convex decomposition into extremal measures", ("tol",), [
+        _arg("--beta", type=float, required=True),
+        _arg("--measure", required=True, help="measure JSON file"),
+    ]),
+    "check-subconformal": (cmd_check_subconformal, "bounded subconformality verifier",
+                           ("tol", "prime_bound"), [
+        _arg("--beta", type=float, required=True),
+        _arg("--measure", required=True),
+    ]),
+    "extremal-measure": (cmd_extremal_measure, "the index-n extremal measure", (), [
+        _arg("--n", type=int, required=True),
+        _arg("--beta", type=float, required=True),
+        _arg("--route", choices=("closed", "inverse"), default="closed"),
+    ]),
+    "pushforward": (cmd_pushforward, "wrap-around image of a measure", (), [
+        _arg("--measure", required=True),
+        _arg("--d", type=int, required=True),
+    ]),
+    "t-beta": (cmd_t_beta, "truncated low-temperature series image", ("truncation",), [
+        _arg("--measure", required=True),
+        _arg("--beta", type=float, required=True),
+    ]),
+    "limit-beta1": (cmd_limit_beta1, "distance to uniform as beta drops to 1", ("format",), [
+        _arg("--z", required=True, help="root of unity p/q"),
+        _arg("--jmax", type=int, default=6, help="betas 1 + 10^-j for j = 1..jmax"),
+    ]),
+    "superposition-check": (cmd_superposition_check,
+                            "closed form vs uniform superposition of point states (beta > 1)", (), [
+        _arg("--n", type=int, required=True),
+        _arg("--beta", type=float, required=True),
+    ]),
+    "kappa": (cmd_kappa, "apply the U -> U^b symmetry to a monomial", (), [
+        _arg("--b", type=int, required=True),
+        _arg("--monomial", required=True),
+    ]),
+    "quotient-eval": (cmd_quotient_eval, "finite-quotient state evaluation", (), [
+        _arg("--n", type=int, required=True, help="modulus"),
+        _arg("--beta", type=float, required=True),
+        _arg("--m", "--subgroup", dest="m", type=int, default=None,
+             help="divisor index of the subgroup state (beta <= 1)"),
+        _arg("--zeta", default=None, help="root of unity p/q (beta > 1)"),
+        _arg("--monomial", required=True),
+    ]),
+    "qz-coherence": (cmd_qz_coherence, "level-restriction coherence sweep", ("tol", "seed"), [
+        _arg("--level", type=int, required=True),
+        _arg("--beta", type=float, required=True),
+        _arg("--count", type=int, default=20, help="monomials per (m, n) pair"),
+        _arg("--subgroup", type=int, default=None,
+             help="restrict the sweep to one subgroup divisor m"),
+    ]),
+    "reconstruct": (cmd_reconstruct, "compression-series reconstruction check", ("truncation",), [
+        _arg("--state", required=True),
+        _arg("--f", required=True, help="prime set, e.g. 2,3"),
+        _arg("--k", type=int, required=True),
+    ]),
+    "e-f-mass": (cmd_e_f_mass, "state mass of the smooth projection e_F", ("tol",), [
+        _arg("--state", required=True),
+        _arg("--f", required=True),
+    ]),
+    "psi-count": (cmd_psi_count, "exact smooth-number count", (), [
+        _arg("--x", type=int, required=True),
+        _arg("--y", type=int, required=True),
+    ]),
+    "dickman": (cmd_dickman, "Dickman rho at a point", (), [
+        _arg("--u", type=float, required=True),
+        _arg("--h", type=float, default=0.005),
+    ]),
+    "dickman-mass": (cmd_dickman_mass, "integral of rho against e^gamma", (), [
+        _arg("--u-max", type=float, default=20.0),
+        _arg("--h", type=float, default=0.005),
+    ]),
+    "mertens": (cmd_mertens, "Mertens product and scaling deviation", ("format",), [
+        _arg("--x", type=int, required=True),
+    ]),
+    "smooth-sum": (cmd_smooth_sum, "scaled harmonic sum over the smooth monoid", ("format",), [
+        _arg("--n-primes", type=int, required=True),
+        _arg("--sequence", default="const1"),
+        _arg("--c", type=int, default=10**6),
+        _arg("--trend", action="store_true", help="emit rows for n = 3..n_primes"),
+    ]),
+    "wiener-sum": (cmd_wiener_sum, "multiplicative vanishing-sum probe", ("format",), [
+        _arg("--n-primes", type=int, required=True),
+        _arg("--nu-hat", default="lebesgue",
+             help="preset (lebesgue|cos|cos-half|half-turn) or a JSON moments file"),
+        _arg("--b", default="", help="excluded primes, e.g. 2"),
+        _arg("--ell", type=int, default=1),
+        _arg("--k", type=int, default=0),
+        _arg("--c", type=int, default=10**5),
+        _arg("--trend", action="store_true"),
+    ]),
+    "delta-estimate": (cmd_delta_estimate, "smooth-ratio tail integral estimate", (), [
+        _arg("--u", type=float, required=True),
+        _arg("--x", type=int, required=True),
+    ]),
+    "self-test": (cmd_self_test, "run the acceptance suite", (), [
+        _arg("--criteria", default=None, help="comma-separated criterion numbers"),
+        _arg("--corrupt", type=int, default=None,
+             help="inject a seeded corruption into the given criterion (harness test)"),
+    ]),
+}
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=_env("TOL", 1e-10, float),
-                        help="comparison tolerance (default 1e-10)")
-    common.add_argument("--truncation", type=int, default=_env("TRUNCATION", 100_000, int),
-                        help="series truncation bound of t-beta and reconstruct (default 1e5)")
-    common.add_argument("--prime-bound", type=int, default=_env("PRIME_BOUND", 30, int),
-                        help="extra-prime window for subconformality checks (default 30)")
-    common.add_argument("--seed", type=int, default=_env("SEED", 20_260_811, int),
-                        help="seed for random probes")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=_env("FORMAT", "json", str), help="output format")
-    common.add_argument("--output", default=_env("OUTPUT", None, str),
-                        help="output path (default: stdout)")
-
+    shared = _shared_options()
     parser = _Parser(prog="affkms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, **extra):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    for name, (handler, help_, options, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("eval-state", cmd_eval_state, "evaluate a state on one monomial")
-    p.add_argument("--state", required=True, help="e.g. finite:n=2,beta=1")
-    p.add_argument("--monomial", required=True, help="a,k,b (or a,p/q,b for Q/Z)")
-
-    p = add("kms-check", cmd_kms_check, "equilibrium identity residual over random pairs")
-    p.add_argument("--state", required=True)
-    p.add_argument("--pairs", type=int, default=1000)
-
-    p = add("decompose", cmd_decompose, "convex decomposition into extremal measures")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--measure", required=True, help="measure JSON file")
-
-    p = add("check-subconformal", cmd_check_subconformal, "bounded subconformality verifier")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--measure", required=True)
-
-    p = add("extremal-measure", cmd_extremal_measure, "the index-n extremal measure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--route", choices=("closed", "inverse"), default="closed")
-
-    p = add("pushforward", cmd_pushforward, "wrap-around image of a measure")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("t-beta", cmd_t_beta, "truncated low-temperature series image")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--beta", type=float, required=True)
-
-    p = add("limit-beta1", cmd_limit_beta1, "distance to uniform as beta drops to 1")
-    p.add_argument("--z", required=True, help="root of unity p/q")
-    p.add_argument("--jmax", type=int, default=6, help="betas 1 + 10^-j for j = 1..jmax")
-
-    p = add("superposition-check", cmd_superposition_check,
-            "closed form vs uniform superposition of point states (beta > 1)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-
-    p = add("kappa", cmd_kappa, "apply the U -> U^b symmetry to a monomial")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--monomial", required=True)
-
-    p = add("quotient-eval", cmd_quotient_eval, "finite-quotient state evaluation")
-    p.add_argument("--n", type=int, required=True, help="modulus")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", "--subgroup", dest="m", type=int, default=None,
-                   help="divisor index of the subgroup state (beta <= 1)")
-    p.add_argument("--zeta", default=None, help="root of unity p/q (beta > 1)")
-    p.add_argument("--monomial", required=True)
-
-    p = add("qz-coherence", cmd_qz_coherence, "level-restriction coherence sweep")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--count", type=int, default=20, help="monomials per (m, n) pair")
-    p.add_argument("--subgroup", type=int, default=None,
-                   help="restrict the sweep to one subgroup divisor m")
-
-    p = add("reconstruct", cmd_reconstruct, "compression-series reconstruction check")
-    p.add_argument("--state", required=True)
-    p.add_argument("--f", required=True, help="prime set, e.g. 2,3")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("e-f-mass", cmd_e_f_mass, "state mass of the smooth projection e_F")
-    p.add_argument("--state", required=True)
-    p.add_argument("--f", required=True)
-
-    p = add("psi-count", cmd_psi_count, "exact smooth-number count")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-
-    p = add("dickman", cmd_dickman, "Dickman rho at a point")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--h", type=float, default=0.005)
-
-    p = add("dickman-mass", cmd_dickman_mass, "integral of rho against e^gamma")
-    p.add_argument("--u-max", type=float, default=20.0)
-    p.add_argument("--h", type=float, default=0.005)
-
-    p = add("mertens", cmd_mertens, "Mertens product and scaling deviation")
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("smooth-sum", cmd_smooth_sum, "scaled harmonic sum over the smooth monoid")
-    p.add_argument("--n-primes", type=int, required=True)
-    p.add_argument("--sequence", default="const1")
-    p.add_argument("--c", type=int, default=10**6)
-    p.add_argument("--trend", action="store_true", help="emit rows for n = 3..n_primes")
-
-    p = add("wiener-sum", cmd_wiener_sum, "multiplicative vanishing-sum probe")
-    p.add_argument("--n-primes", type=int, required=True)
-    p.add_argument("--nu-hat", default="lebesgue",
-                   help="preset (lebesgue|cos|cos-half|half-turn) or a JSON moments file")
-    p.add_argument("--b", default="", help="excluded primes, e.g. 2")
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--c", type=int, default=10**5)
-    p.add_argument("--trend", action="store_true")
-
-    p = add("delta-estimate", cmd_delta_estimate, "smooth-ratio tail integral estimate")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("self-test", cmd_self_test, "run the acceptance suite")
-    p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    p.add_argument("--corrupt", type=int, default=None,
-                   help="inject a seeded corruption into the given criterion (harness test)")
-
+        for flags, kwargs in [shared[o] for o in options + ("output",)] + arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.handler(args, _config(args))
+        args = build_parser().parse_args(argv)
+        if getattr(args, "tol", 1.0) <= 0:
+            raise UsageError("tolerance must be > 0")
+        if getattr(args, "truncation", 1) < 1:
+            raise UsageError("truncation must be >= 1")
+        report = args.handler(args)
+        _emit(report, args)
+        if report.violation is not None:
+            raise ContractViolation(report.violation)
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ContractViolation, RuntimeError) as err:
-        print(f"violation: {err}", file=sys.stderr)
+    except (ContractViolation, RuntimeError, MemoryError) as err:
+        print(f"violation: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

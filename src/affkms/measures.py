@@ -26,6 +26,7 @@ import numpy as np
 
 from .arith import (
     PrimeSet,
+    RangeError,
     divisors,
     factorize,
     mobius,
@@ -37,7 +38,8 @@ from .arith import (
     zeta,
 )
 
-PRUNE_TOL = 1e-14
+# bytes of the dense K x K float64 system apply_A_inv may build (K <= 4096)
+DENSE_SOLVE_LIMIT = 128 * 2**20
 
 
 @dataclass(frozen=True, order=True)
@@ -77,14 +79,13 @@ ONE = RootOfUnity(0, 1)
 class AtomicMeasure:
     """Finite weighted atoms on roots of unity; weights may be signed in intermediates."""
 
-    __slots__ = ("_atoms", "signed", "beta_tag", "_level")
+    __slots__ = ("_atoms", "signed", "_level")
 
     def __init__(
         self,
         atoms: Mapping[RootOfUnity, float] | Iterable[tuple[RootOfUnity, float]] = (),
         *,
         signed: bool = False,
-        beta_tag: float | None = None,
         level: int | None = None,
     ):
         acc: dict[RootOfUnity, float] = {}
@@ -95,7 +96,6 @@ class AtomicMeasure:
             acc[z] = acc.get(z, 0.0) + w
         object.__setattr__(self, "_atoms", acc)
         object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "beta_tag", beta_tag)
         if level is not None:
             bad = [z for z in acc if level % z.den != 0]
             if bad:
@@ -129,20 +129,10 @@ class AtomicMeasure:
     def is_probability(self, tol: float = 1e-10) -> bool:
         return abs(self.mass() - 1.0) <= tol and self.min_weight() >= -tol
 
-    def cleanup(self, tol: float = PRUNE_TOL) -> "AtomicMeasure":
-        """Drop atoms with |weight| <= tol (the only place pruning happens)."""
-        return AtomicMeasure(
-            {z: w for z, w in self._atoms.items() if abs(w) > tol},
-            signed=self.signed,
-            beta_tag=self.beta_tag,
-            level=self._level,
-        )
-
     def scaled(self, c: float) -> "AtomicMeasure":
         return AtomicMeasure(
             {z: c * w for z, w in self._atoms.items()},
             signed=self.signed or c < 0,
-            beta_tag=self.beta_tag,
             level=self._level,
         )
 
@@ -179,16 +169,11 @@ def pushforward(nu: AtomicMeasure, d: int) -> AtomicMeasure:
     """Image of nu under z -> z^d; mass is preserved exactly up to roundoff."""
     if d < 1:
         raise ValueError(f"pushforward requires d >= 1, got {d}")
-    return _push_exp(nu, d)
-
-
-def _push_exp(nu: AtomicMeasure, d: int) -> AtomicMeasure:
-    # d = 0 is the constant map to 1; only used internally (series residues)
     acc: dict[RootOfUnity, float] = {}
     for z, w in nu.atoms().items():
         t = z.pow(d)
         acc[t] = acc.get(t, 0.0) + w
-    return AtomicMeasure(acc, signed=nu.signed, beta_tag=nu.beta_tag)
+    return AtomicMeasure(acc, signed=nu.signed)
 
 
 def epsilon(n: int) -> AtomicMeasure:
@@ -206,7 +191,7 @@ def apply_A(nu: AtomicMeasure, n: int, beta: float) -> AtomicMeasure:
         c = mobius(d) * float(d) ** -beta
         for z, w in pushforward(nu, d).atoms().items():
             acc[z] = acc.get(z, 0.0) + c * w
-    return AtomicMeasure(acc, signed=True, beta_tag=beta)
+    return AtomicMeasure(acc, signed=True)
 
 
 def apply_A_inv(
@@ -217,10 +202,17 @@ def apply_A_inv(
     Solved as a dense K x K linear system over the atoms indexed by all K-th
     roots of unity.  For beta > 0 the inverse is a positive operator, and
     prod_{p|n}(1-p^-beta) * mu is a probability measure whenever nu is.
+    Raises :class:`RangeError` before building anything when that system
+    would exceed ``DENSE_SOLVE_LIMIT`` bytes.
     """
     if beta <= 0:
         raise ValueError(f"apply_A_inv requires beta > 0, got {beta}")
     K = level if level is not None else nu.support_level()
+    if 8 * K * K > DENSE_SOLVE_LIMIT:
+        raise RangeError(
+            f"apply_A_inv at level K = {K} needs a dense {K} x {K} system of "
+            f"{8 * K * K / 2**20:.0f} MiB, over the {DENSE_SOLVE_LIMIT // 2**20} MiB limit"
+        )
     for z in nu.atoms():
         if K % z.den != 0:
             raise ValueError(f"atom {z} is not supported on the level-{K} roots")
@@ -238,7 +230,6 @@ def apply_A_inv(
     return AtomicMeasure(
         {z: float(w) for z, w in zip(roots, sol) if w != 0.0},
         signed=nu.signed,
-        beta_tag=beta,
     )
 
 
@@ -317,7 +308,6 @@ def restrict(nu: AtomicMeasure, k: int) -> AtomicMeasure:
     return AtomicMeasure(
         {z: w for z, w in nu.atoms().items() if k % z.den == 0},
         signed=nu.signed,
-        beta_tag=nu.beta_tag,
     )
 
 
@@ -338,7 +328,7 @@ def extremal_measure(n: int, beta: float) -> AtomicMeasure:
         for j in range(d):
             if gcd(j, d) == 1:
                 acc[RootOfUnity(j, d)] = w
-    return AtomicMeasure(acc, beta_tag=beta)
+    return AtomicMeasure(acc)
 
 
 class NotSubconformalError(ValueError):
@@ -429,10 +419,10 @@ def t_beta(nu: AtomicMeasure, beta: float, C: int) -> tuple[AtomicMeasure, float
         wr = float(by_res[r]) / z_full
         if wr == 0.0:
             continue
-        for z, w in _push_exp(nu, r).atoms().items():
+        for z, w in pushforward(nu, r).atoms().items():
             acc[z] = acc.get(z, 0.0) + wr * w
     tail = (z_full - partial) / z_full
-    return AtomicMeasure(acc, signed=nu.signed, beta_tag=beta), tail
+    return AtomicMeasure(acc, signed=nu.signed), tail
 
 
 def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
@@ -444,7 +434,7 @@ def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
         raise ValueError(f"t_beta_exact_root requires beta > 1, got {beta}")
     weights, _ = residue_weights(z.den, beta)
     total = fsum(weights)
-    return AtomicMeasure({z.pow(r): w / total for r, w in enumerate(weights)}, beta_tag=beta)
+    return AtomicMeasure({z.pow(r): w / total for r, w in enumerate(weights)})
 
 
 # --- JSON schema: {"level": K, "signed": bool, "atoms": [{"num","den","weight"}]} ---

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, gcd, pi
+from random import Random
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -48,6 +49,7 @@ from .measures import (
     RootOfUnity,
     dirac,
     fourier,
+    root,
     t_beta_exact_root,
     tv_distance,
 )
@@ -295,6 +297,21 @@ def kms_residual(spec: StateSpec, x: Monomial, y: Monomial) -> float:
     return abs(lhs - rhs)
 
 
+def kms_sweep(
+    spec: StateSpec, pairs: int, rng: Random
+) -> tuple[float, tuple[Monomial, Monomial] | None]:
+    """Largest :func:`kms_residual` over random pairs with a, b in 1..20 and k in -15..15,
+    with the pair that attains it (None when every residual is 0)."""
+    worst, witness = 0.0, None
+    for _ in range(pairs):
+        x = Monomial(rng.randint(1, 20), rng.randint(-15, 15), rng.randint(1, 20))
+        y = Monomial(rng.randint(1, 20), rng.randint(-15, 15), rng.randint(1, 20))
+        r = kms_residual(spec, x, y)
+        if r > worst:
+            worst, witness = r, (x, y)
+    return worst, witness
+
+
 def subconformal_witness_value(
     nu: AtomicMeasure,
     beta: float,
@@ -446,3 +463,26 @@ def qz_coherence(
     lhs = eval_state(QZSubgroup(level, m, beta), x).value
     rhs = eval_state(Quotient(n, n // gcd(m, n), beta), x).value
     return lhs, rhs
+
+
+def coherence_sweep(
+    level: int, beta: float, count: int, rng: Random, ms: list[int] | None = None
+) -> tuple[float, tuple[int, int, QZMonomial] | None, int]:
+    """Largest :func:`qz_coherence` gap over `count` random monomials for every
+    subgroup divisor m (all divisors of the level unless `ms` is given) and
+    every n | level, with the (m, n, x) that attains it and the number of checks."""
+    worst, witness, checks = 0.0, None, 0
+    for m in divisors(level) if ms is None else ms:
+        if level % m != 0:
+            raise ValueError(f"subgroup divisor {m} does not divide the level {level}")
+        for n in divisors(level):
+            for _ in range(count):
+                q = rng.choice(divisors(n))
+                num = rng.choice([j for j in range(q) if gcd(j, q) == 1])
+                x = QZMonomial(rng.randint(1, 8), root(num, q), rng.randint(1, 8))
+                lhs, rhs = qz_coherence(level, m, n, beta, x)
+                gap = abs(lhs - rhs)
+                checks += 1
+                if gap > worst:
+                    worst, witness = gap, (m, n, x)
+    return worst, witness, checks

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from affkms import cli
 from affkms.cli import main
 from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
 
@@ -150,6 +151,13 @@ class TestMeasureCommands:
         assert set(w1) == set(w2)
         assert all(abs(w1[k] - w2[k]) < 1e-10 for k in w1)
 
+    def test_oversized_dense_solve_refused(self, run):
+        code, out, err = run("extremal-measure", "--route", "inverse", "--n", "5000",
+                             "--beta", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "K = 5000" in err
+
     def test_failed_solve_guard_exits_2(self, run):
         code, out, err = run("extremal-measure", "--route", "inverse", "--n", "840",
                              "--beta", "0.001")
@@ -182,6 +190,13 @@ class TestTrendCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "beta,tv_distance,trend"
         assert len(lines) == 4
+
+    def test_limit_beta1_csv_labels_tell_betas_apart(self, run):
+        code, out, _ = run("limit-beta1", "--z", "1/4", "--jmax", "12", "--format", "csv")
+        assert code == 0
+        labels = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert len(set(labels)) == 12
+        assert [float(b) for b in labels] == [1 + 10.0**-j for j in range(1, 13)]
 
     def test_limit_beta1_near_pole_matches_mpmath(self, run):
         mpmath = pytest.importorskip("mpmath")
@@ -333,3 +348,23 @@ class TestSubgroupFlag:
                            "--subgroup", "5", "--count", "3")
         assert code == 1
         assert "does not divide" in err
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_help_exits_0(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: affkms {name}")
+
+    def test_memory_error_exits_2_without_traceback(self, run, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        _, *rest = cli.COMMANDS["psi-count"]
+        monkeypatch.setitem(cli.COMMANDS, "psi-count", (exhausted, *rest))
+        code, out, err = run("psi-count", "--x", "10", "--y", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "violation: MemoryError\n"

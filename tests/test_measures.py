@@ -4,10 +4,10 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affkms.arith import totient, totient_beta, zeta
+from affkms.arith import RangeError, divisors, totient, totient_beta, zeta
 from affkms.measures import (
     ONE,
     AtomicMeasure,
@@ -159,6 +159,11 @@ class TestApplyAInv:
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
             apply_A_inv(epsilon(2), 2, 0.0)
+
+    def test_dense_system_over_the_limit_refused(self):
+        # 4097^2 float64 entries exceed 128 MiB; the refusal comes before any allocation
+        with pytest.raises(RangeError, match=r"K = 4097 .* 128 MiB"):
+            apply_A_inv(epsilon(1), 1, 0.5, level=4097)
 
 
 class TestFourier:
@@ -371,6 +376,35 @@ class TestDecomposeContract:
         except NotSubconformalError:
             return
         assert reconstruction_error(lam, nu, beta) <= 1e-9
+
+
+class TestDecomposeAgainstVerifier:
+    """On orbit-invariant measures the two routes to subconformality agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([4, 6, 10, 12, 18, 30]),
+        st.floats(0.1, 1.0),
+        st.data(),
+    )
+    def test_decompose_rejects_exactly_what_the_verifier_rejects(self, L, beta, data):
+        # nu = sum_n lambda_n nu_{beta,n}, some lambda_n possibly negative but the atoms positive
+        coeff = st.one_of(st.just(0.0), st.floats(0.02, 1.0), st.floats(-0.3, -0.02))
+        atoms: dict[RootOfUnity, float] = {}
+        for n in divisors(L):
+            c = data.draw(coeff)
+            if c:
+                for z, w in extremal_measure(n, beta).atoms().items():
+                    atoms[z] = atoms.get(z, 0.0) + c * w
+        assume(atoms and min(atoms.values()) >= 1e-6)
+        mass = sum(atoms.values())
+        nu = AtomicMeasure({z: w / mass for z, w in atoms.items()})
+        try:
+            decompose(nu, beta)
+            rejected = False
+        except NotSubconformalError:
+            rejected = True
+        assert rejected == (not check_subconformal(nu, beta, 10).passed)
 
 
 class TestTBeta:
