@@ -377,8 +377,9 @@ def cmd_qz_coherence(args):
         "ok": worst <= args.tol,
     }
     if witness is not None:
-        witness = (witness[0], witness[1], _describe_monomial(witness[2]))
-        doc["worst_case"] = dict(zip(("m", "n", "monomial"), witness))
+        m, n, x = witness
+        witness = (m, n, _describe_monomial(x))
+        doc["worst_case"] = {"m": m, "n": n, "monomial": witness[2]}
     return Report(doc, violation=None if doc["ok"] else f"coherence gap {worst:.3e} at {witness}")
 
 
