@@ -38,6 +38,8 @@ from .measures import (
     t_beta,
 )
 from .states import (
+    INTEGER_FAMILY,
+    KMS_FAMILY,
     FiniteN,
     FromMeasure,
     LebesgueInf,
@@ -210,6 +212,15 @@ def _parse_state(text: str):
         raise UsageError(f"bad state {text!r}: {err}") from None
 
 
+def _state_for(text: str, command: str, classes: tuple[type, ...]):
+    """A --state for a subcommand that works only with the state classes given."""
+    spec = _parse_state(text)
+    if not isinstance(spec, classes):
+        kinds = [f"{kind}:..." for kind, (cls, _) in _STATE_KINDS.items() if cls in classes]
+        raise UsageError(f"{command} works with {', '.join(kinds[:-1])} or {kinds[-1]} states")
+    return spec
+
+
 def _describe_spec(spec) -> dict:
     doc = {"kind": type(spec).__name__}
     for field in ("n", "m", "level", "beta"):
@@ -252,7 +263,7 @@ def cmd_eval_state(args):
 
 
 def cmd_kms_check(args):
-    spec = _parse_state(args.state)
+    spec = _state_for(args.state, "kms-check", KMS_FAMILY)
     worst, witness = kms_sweep(spec, args.pairs, random.Random(args.seed))
     doc = {
         "spec": _describe_spec(spec),
@@ -384,9 +395,7 @@ def cmd_qz_coherence(args):
 
 
 def cmd_reconstruct(args):
-    spec = _parse_state(args.state)
-    if not isinstance(spec, (FiniteN, FromMeasure)):
-        raise UsageError("reconstruct works with finite:... or measure:... states")
+    spec = _state_for(args.state, "reconstruct", (FiniteN, FromMeasure))
     F = _parse_primes(args.f)
     lhs, rhs, tail = reconstruct_check(spec, F, args.k, args.truncation)
     gap = abs(lhs - rhs)
@@ -397,7 +406,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_e_f_mass(args):
-    spec = _parse_state(args.state)
+    # e_F is a sum of integer monomials, which the Q/Z families do not take
+    spec = _state_for(args.state, "e-f-mass", INTEGER_FAMILY + (Quotient, QuotientChar))
     F = _parse_primes(args.f)
     beta = spec.beta
     got = eval_element(spec, projection_eF(F)).value

@@ -38,8 +38,9 @@ from .arith import (
     zeta,
 )
 
-# bytes of the dense K x K float64 system apply_A_inv may build (K <= 4096)
-DENSE_SOLVE_LIMIT = 128 * 2**20
+# bytes of the largest float64 array a measure kernel may allocate: the dense
+# K x K system of apply_A_inv (K <= 4096) and the 2^m x K verifier frontier
+ARRAY_BYTES_LIMIT = 128 * 2**20
 
 
 @dataclass(frozen=True, order=True)
@@ -203,34 +204,40 @@ def apply_A_inv(
     roots of unity.  For beta > 0 the inverse is a positive operator, and
     prod_{p|n}(1-p^-beta) * mu is a probability measure whenever nu is.
     Raises :class:`RangeError` before building anything when that system
-    would exceed ``DENSE_SOLVE_LIMIT`` bytes.
+    would exceed ``ARRAY_BYTES_LIMIT`` bytes.
     """
     if beta <= 0:
         raise ValueError(f"apply_A_inv requires beta > 0, got {beta}")
     K = level if level is not None else nu.support_level()
-    if 8 * K * K > DENSE_SOLVE_LIMIT:
+    if 8 * K * K > ARRAY_BYTES_LIMIT:
         raise RangeError(
             f"apply_A_inv at level K = {K} needs a dense {K} x {K} system of "
-            f"{8 * K * K / 2**20:.0f} MiB, over the {DENSE_SOLVE_LIMIT // 2**20} MiB limit"
+            f"{8 * K * K / 2**20:.0f} MiB, over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
         )
-    for z in nu.atoms():
-        if K % z.den != 0:
-            raise ValueError(f"atom {z} is not supported on the level-{K} roots")
-    roots = [root(j, K) for j in range(K)]
-    index = {z: i for i, z in enumerate(roots)}
+    rhs = _level_vector(nu, K)
+    # column j is the root j/K; omega_d sends it to row j*d mod K
     M = np.zeros((K, K))
-    for j, z in enumerate(roots):
-        for d in squarefree_products(PrimeSet.dividing(n)):
-            M[index[z.pow(d)], j] += mobius(d) * float(d) ** -beta
-    rhs = np.array([nu.weight(z) for z in roots])
+    cols = np.arange(K)
+    for d in squarefree_products(PrimeSet.dividing(n)):
+        M[(cols * d) % K, cols] += mobius(d) * float(d) ** -beta
     sol = np.linalg.solve(M, rhs)
     residual = float(np.max(np.abs(M @ sol - rhs)))
     if residual > 1e-9:
         raise RuntimeError(f"A_inv solve residual {residual:.2e} exceeds 1e-9")
     return AtomicMeasure(
-        {z: float(w) for z, w in zip(roots, sol) if w != 0.0},
+        {root(j, K): float(w) for j, w in enumerate(sol) if w != 0.0},
         signed=nu.signed,
     )
+
+
+def _level_vector(nu: AtomicMeasure, K: int) -> np.ndarray:
+    """The weights of nu as a length-K vector, entry j on the root j/K."""
+    vec = np.zeros(K)
+    for z, w in nu.atoms().items():
+        if K % z.den != 0:
+            raise ValueError(f"atom {z} is not supported on the level-{K} roots")
+        vec[z.num * (K // z.den)] = w
+    return vec
 
 
 def fourier(nu: AtomicMeasure, k: int) -> complex:
@@ -268,6 +275,13 @@ def check_subconformal(
     multiplicativity of the operators nothing else contributes new
     inequalities inside this window.  A pass is a bounded certificate; a
     fail (with witness (F, atom, value)) is a proof of non-subconformality.
+
+    All 2^m measures A_{beta,F} nu, m the number of primes checked, are the
+    rows of one float64 array on the K-th roots, K the support level; row r
+    holds F = {ps[b] : bit b of r}.  The witness is the smallest entry of
+    that array: among equal values the first row, then the root j/K of
+    smallest j.  Raises :class:`RangeError` before allocating when the
+    2^m x K array would exceed ``ARRAY_BYTES_LIMIT`` bytes.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
@@ -277,24 +291,35 @@ def check_subconformal(
     support_ps = list(factorize(K).prime_divisors())
     window = [p for p in primes_up_to(extra_prime_bound) if K % p != 0]
     ps = sorted(support_ps + window)
+    m = len(ps)
+    size = 8 * K << m
+    if size > ARRAY_BYTES_LIMIT:
+        raise RangeError(
+            f"check_subconformal over m = {m} primes at level K = {K} needs a "
+            f"2^{m} x {K} frontier of {size / 2**20:.0f} MiB, "
+            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+        )
 
-    # grow A_{beta,F} nu one prime at a time over all 2^|ps| subsets
-    frontier: list[tuple[tuple[int, ...], AtomicMeasure]] = [((), nu)]
-    for p in ps:
-        fac = float(p) ** -beta
-        new = []
-        for F, m in frontier:
-            pushed = pushforward(m, p)
-            nxt = m.plus(pushed.scaled(-fac))
-            new.append((F + (p,), nxt))
-        frontier += new
-    worst: tuple[tuple[int, ...], RootOfUnity, float] | None = None
-    for F, m in frontier:
-        for z, w in m.atoms().items():
-            if w < -tol and (worst is None or w < worst[2]):
-                worst = (F, z, w)
-    if worst is not None:
-        return SubconformalVerdict(False, worst, tuple(ps), "violation witnessed")
+    # rows [n, 2n) = rows [0, n) - p^-beta * (their pushforward by p)
+    frontier = np.empty((1 << m, K))
+    frontier[0] = _level_vector(nu, K)
+    cols = np.arange(K)
+    for b, p in enumerate(ps):
+        n = 1 << b
+        src, dst = frontier[:n], frontier[n : 2 * n]
+        if K % p:
+            dst[:, (cols * p) % K] = src
+        else:
+            # p * (r + t K/p) = p r mod K: the p preimages of column p r add up
+            dst.fill(0.0)
+            dst[:, ::p] = src.reshape(n, p, K // p).sum(axis=1)
+        dst *= -(float(p) ** -beta)
+        dst += src
+    r, j = divmod(int(np.argmin(frontier)), K)
+    value = float(frontier[r, j])
+    if value < -tol:
+        F = tuple(p for b, p in enumerate(ps) if r >> b & 1)
+        return SubconformalVerdict(False, (F, root(j, K), value), tuple(ps), "violation witnessed")
     return SubconformalVerdict(
         True, None, tuple(ps),
         f"bounded certificate: all square-free F from primes {ps} pass at tol {tol}",

@@ -168,6 +168,8 @@ class QZChar:
 StateSpec = Union[FiniteN, LebesgueInf, FromMeasure, LowTemp, Quotient, QuotientChar, QZSubgroup, QZChar]
 
 INTEGER_FAMILY = (FiniteN, LebesgueInf, FromMeasure, LowTemp)
+# the families kms_residual checks
+KMS_FAMILY = (FiniteN, LebesgueInf, FromMeasure)
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ def eval_element(spec: StateSpec, elem: AlgebraElement) -> StateValue:
 
 def kms_residual(spec: StateSpec, x: Monomial, y: Monomial) -> float:
     """|psi(xy) - (a/b)^-beta psi(yx)|, zero exactly when psi is an equilibrium state."""
-    if not isinstance(spec, (FiniteN, LebesgueInf, FromMeasure)):
+    if not isinstance(spec, KMS_FAMILY):
         raise TypeError("kms_residual applies to the integer-monoid state family")
     lhs = eval_state(spec, mono_mul(x, y)).value
     rhs = sigma_ibeta_factor(x, spec.beta) * eval_state(spec, mono_mul(y, x)).value

@@ -139,6 +139,16 @@ class TestSubconformalCommand:
         assert doc["witness"]["primes"] == [2]
         assert doc["witness"]["value"] == pytest.approx(-0.5)
 
+    def test_oversized_frontier_refused(self, run, measure_file):
+        # 25 primes up to 100 on the level-6 roots: a 2^25 x 6 frontier of 1536 MiB
+        path = measure_file(extremal_measure(6, 0.7))
+        code, out, err = run("check-subconformal", "--beta", "0.7", "--measure", path,
+                             "--prime-bound", "100")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "m = 25" in err and "K = 6" in err and "1536 MiB" in err
+
 
 class TestMeasureCommands:
     def test_extremal_routes_agree(self, run):

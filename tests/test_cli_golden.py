@@ -57,6 +57,11 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("kms-lebesgue-env-seed", "kms-check --state lebesgue:beta=1 --pairs 20", {"AFFKMS_SEED": "3"}),
         ("kms-violation", "kms-check --state finite:n=6,beta=0.8 --pairs 50 --tol 1e-300", {}),
         ("kms-bad-tol", "kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol 0", {}),
+        ("kms-lowtemp", "kms-check --state lowtemp:beta=2,file=<TMP>/eps4.json --pairs 5", {}),
+        ("kms-quotient", "kms-check --state quotient:n=6,m=2,beta=0.5 --pairs 5", {}),
+        ("kms-quotient-char", "kms-check --state quotient-char:n=6,zeta=1/3,beta=2 --pairs 5", {}),
+        ("kms-qz", "kms-check --state qz:level=12,m=4,beta=0.7 --pairs 3", {}),
+        ("kms-qz-char", "kms-check --state qz-char:level=12,chi=1/4,beta=1.5 --pairs 3", {}),
         ("decompose-mixture", "decompose --beta 0.7 --measure <TMP>/mix.json", {}),
         ("decompose-not-subconformal", "decompose --beta 1.0 --measure <TMP>/half.json", {}),
         ("decompose-not-invariant", "decompose --beta 0.7 --measure <TMP>/noninv.json", {}),
@@ -100,6 +105,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("e-f-mass-finite", "e-f-mass --state finite:n=6,beta=0.8 --f 2,3,5", {}),
         ("e-f-mass-lebesgue", "e-f-mass --state lebesgue:beta=0.8 --f 2,3 --tol 1e-6", {}),
         ("e-f-mass-violation", "e-f-mass --state lebesgue:beta=0.8 --f 2,3 --tol 1e-300", {}),
+        ("e-f-mass-qz", "e-f-mass --state qz:level=12,m=4,beta=0.7 --f 2", {}),
+        ("e-f-mass-qz-char", "e-f-mass --state qz-char:level=12,chi=1/4,beta=1.5 --f 2", {}),
         ("psi-count", "psi-count --x 100000 --y 97", {}),
         ("dickman", "dickman --u 2.0", {}),
         ("dickman-mass", "dickman-mass --u-max 5 --h 0.005", {}),

@@ -1,19 +1,22 @@
 import json
 import math
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affkms.arith import RangeError, divisors, totient, totient_beta, zeta
+from affkms.arith import RangeError, divisors, factorize, primes_up_to, totient, totient_beta, zeta
 from affkms.measures import (
     ONE,
     AtomicMeasure,
     NotOrbitInvariantError,
     NotSubconformalError,
     RootOfUnity,
+    SubconformalVerdict,
     apply_A,
     apply_A_inv,
     check_subconformal,
@@ -225,6 +228,114 @@ class TestSubconformal:
         assert check_subconformal(res, 0.8, extra_prime_bound=10).passed
 
 
+def dict_frontier_check(nu, beta, extra_prime_bound=30, tol=1e-9):
+    """The verifier as one dict-of-roots measure per subset F, kept as an oracle."""
+    K = nu.support_level()
+    support_ps = list(factorize(K).prime_divisors())
+    window = [p for p in primes_up_to(extra_prime_bound) if K % p != 0]
+    ps = sorted(support_ps + window)
+
+    # grow A_{beta,F} nu one prime at a time over all 2^|ps| subsets
+    frontier: list[tuple[tuple[int, ...], AtomicMeasure]] = [((), nu)]
+    for p in ps:
+        fac = float(p) ** -beta
+        new = []
+        for F, m in frontier:
+            pushed = pushforward(m, p)
+            nxt = m.plus(pushed.scaled(-fac))
+            new.append((F + (p,), nxt))
+        frontier += new
+    worst: tuple[tuple[int, ...], RootOfUnity, float] | None = None
+    for F, m in frontier:
+        for z, w in m.atoms().items():
+            if w < -tol and (worst is None or w < worst[2]):
+                worst = (F, z, w)
+    if worst is not None:
+        return SubconformalVerdict(False, worst, tuple(ps), "violation witnessed")
+    return SubconformalVerdict(
+        True, None, tuple(ps),
+        f"bounded certificate: all square-free F from primes {ps} pass at tol {tol}",
+    )
+
+
+def exact_A_F_at(nu, beta, F, z):
+    """(A_{beta,F} nu)({z}), with every atom pushed forward in exact fractions."""
+    target = Fraction(z.num, z.den)
+    terms = []
+    for k in range(len(F) + 1):
+        for D in combinations(F, k):
+            d = math.prod(D)
+            c = (-1) ** k * float(d) ** -beta
+            terms += [c * w for x, w in nu.atoms().items() if Fraction(x.num * d, x.den) % 1 == target]
+    return math.fsum(terms)
+
+
+def orbit_invariant_mixture(data, L, beta):
+    """sum_n lambda_n nu_{beta,n} over the divisors of L, normalised; some lambda_n may be
+    negative while every atom stays >= 1e-6 (None when a draw breaks that)."""
+    coeff = st.one_of(st.just(0.0), st.floats(0.02, 1.0), st.floats(-0.3, -0.02))
+    atoms: dict[RootOfUnity, float] = {}
+    for n in divisors(L):
+        c = data.draw(coeff)
+        if c:
+            for z, w in extremal_measure(n, beta).atoms().items():
+                atoms[z] = atoms.get(z, 0.0) + c * w
+    if not atoms or min(atoms.values()) < 1e-6:
+        return None
+    mass = sum(atoms.values())
+    return AtomicMeasure({z: w / mass for z, w in atoms.items()})
+
+
+class TestSubconformalAgainstDictFrontier:
+    """The level-K array verifier against one dict measure per subset."""
+
+    def assert_agrees(self, nu, beta, window):
+        got, want = check_subconformal(nu, beta, window), dict_frontier_check(nu, beta, window)
+        assert got.passed == want.passed
+        assert got.primes_checked == want.primes_checked
+        assert got.note == want.note
+        if not got.passed:
+            F, z, value = got.witness
+            # both sum the preimages of a point in their own order; a value that cancels
+            # is pinned relative to the l1 size of its terms, at most prod(1 + p^-beta) * mass
+            size = math.prod(1 + p**-beta for p in F) * nu.mass()
+            assert abs(value - want.witness[2]) <= 1e-15 * size
+            assert abs(value - exact_A_F_at(nu, beta, F, z)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), st.integers(5, 15), st.floats(0.1, 1.0), st.data())
+    def test_random_measures(self, L, window, beta, data):
+        roots = [root(j, L) for j in range(L)]
+        picked = data.draw(st.lists(st.sampled_from(roots), min_size=1, max_size=8, unique=True))
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(picked),
+                                     max_size=len(picked)))
+        self.assert_agrees(AtomicMeasure(dict(zip(picked, weights))), beta, window)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 6, 10, 12, 18, 30]), st.integers(5, 15), st.floats(0.1, 1.0),
+           st.data())
+    def test_orbit_invariant_mixtures(self, L, window, beta, data):
+        nu = orbit_invariant_mixture(data, L, beta)
+        assume(nu is not None)
+        self.assert_agrees(nu, beta, window)
+
+    def test_extremal_measure_at_window_60(self):
+        # 17 primes: 2^17 subsets on the 30th roots
+        verdict = check_subconformal(extremal_measure(30, 1.0), 1.0, 60)
+        assert verdict.passed, verdict
+        assert len(verdict.primes_checked) == 17
+
+    def test_tie_keeps_first_subset_then_smallest_root(self):
+        # A_{1,2} of the uniform measure on the primitive 8th roots is -1/4 at 1/4 and 3/4 alike
+        verdict = check_subconformal(epsilon(8), 1.0, 2)
+        assert verdict.witness == ((2,), root(1, 4), -0.25)
+
+    def test_oversized_frontier_refused(self):
+        # 25 primes up to 100 at level 6: 8 * 6 * 2^25 bytes = 1536 MiB, refused before allocating
+        with pytest.raises(RangeError, match=r"m = 25 primes at level K = 6 .* 1536 MiB"):
+            check_subconformal(extremal_measure(6, 0.7), 0.7, 100)
+
+
 class TestRestrict:
     def test_drops_higher_orders(self):
         mix = epsilon(6).scaled(0.5).plus(epsilon(2).scaled(0.3)).plus(epsilon(3).scaled(0.2))
@@ -388,17 +499,8 @@ class TestDecomposeAgainstVerifier:
         st.data(),
     )
     def test_decompose_rejects_exactly_what_the_verifier_rejects(self, L, beta, data):
-        # nu = sum_n lambda_n nu_{beta,n}, some lambda_n possibly negative but the atoms positive
-        coeff = st.one_of(st.just(0.0), st.floats(0.02, 1.0), st.floats(-0.3, -0.02))
-        atoms: dict[RootOfUnity, float] = {}
-        for n in divisors(L):
-            c = data.draw(coeff)
-            if c:
-                for z, w in extremal_measure(n, beta).atoms().items():
-                    atoms[z] = atoms.get(z, 0.0) + c * w
-        assume(atoms and min(atoms.values()) >= 1e-6)
-        mass = sum(atoms.values())
-        nu = AtomicMeasure({z: w / mass for z, w in atoms.items()})
+        nu = orbit_invariant_mixture(data, L, beta)
+        assume(nu is not None)
         try:
             decompose(nu, beta)
             rejected = False
