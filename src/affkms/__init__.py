@@ -95,6 +95,7 @@ from .asymptotics import (  # noqa: F401
     mertens_product,
     psi_count,
     psi_count_table,
+    psi_counts,
     smooth_harmonic_sum,
     wiener_sum,
 )

@@ -22,6 +22,11 @@ INT64_MAX = 2**63 - 1
 
 _SIEVE_LIMIT = 10**6
 
+# bytes of the largest working set an array kernel may allocate: the dense
+# K x K system of apply_A_inv (K <= 4096), the 2^m x K verifier frontier,
+# the Psi engine's node arrays and the Psi sieve table
+ARRAY_BYTES_LIMIT = 128 * 2**20
+
 # deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -39,11 +44,12 @@ def checked_mul(a: int, b: int) -> int:
 
 _prime_lock = threading.Lock()
 _prime_table: list[int] | None = None
+_prime_array: np.ndarray | None = None
 
 
 def _primes() -> list[int]:
     """Primes up to 10^6, sieved once and immutable afterwards."""
-    global _prime_table
+    global _prime_table, _prime_array
     if _prime_table is None:
         with _prime_lock:
             if _prime_table is None:
@@ -52,8 +58,16 @@ def _primes() -> list[int]:
                 for i in range(2, int(_SIEVE_LIMIT**0.5) + 1):
                     if not composite[i]:
                         composite[i * i :: i] = True
-                _prime_table = np.flatnonzero(~composite).tolist()
+                _prime_array = np.flatnonzero(~composite).astype(np.int64, copy=False)
+                _prime_array.setflags(write=False)
+                _prime_table = _prime_array.tolist()
     return _prime_table
+
+
+def prime_array() -> np.ndarray:
+    """Primes up to 10^6 as a read-only ascending int64 array, from the same sieve as the list."""
+    _primes()
+    return _prime_array
 
 
 def primes_up_to(x: int) -> list[int]:

@@ -3,102 +3,230 @@ vanishing partial sums over the smooth monoid.
 
 Every limit statement is exercised as a monotone trend at desk scale; exact
 quantities (the counter Psi, the harmonic partial sums) are computed exactly.
-The counter uses the recursion
+The counter evaluates Buchstab's recursion
 
     Psi(x, p_k) = Psi(x, p_{k-1}) + Psi(x // p_k, p_k)
 
-with a shared memo table (write-once entries, safe for concurrent readers);
-the base case counts powers of two.
+in numpy, band by band, for many x in one pass (see :func:`psi_counts`).  It
+keeps no memo: all of its state belongs to one call, and the only data shared
+across calls is the immutable prime table, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import PrimeSet, RangeError, first_primes, is_prime, primes_up_to, smooth_numbers
+from .arith import (
+    ARRAY_BYTES_LIMIT,
+    PrimeSet,
+    RangeError,
+    first_primes,
+    is_prime,
+    prime_array,
+    primes_up_to,
+    smooth_numbers,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
 PSI_X_LIMIT = 10**12
 _DELTA_CAP = 10**9  # largest exact-counter argument delta_estimate will touch
 
-_psi_primes: list[int] = []
-_psi_memo: dict[int, int] = {}
+# A node Psi(x, p_k) of the recursion is the int64 key (x << 17) | k: x <= 10^12 < 2^40
+# and k < pi(10^6) = 78498 < 2^17, so every key is below 2^57 and keys sort by (x, k).
+_KEY_BITS = 17
+_K_MASK = (1 << _KEY_BITS) - 1
+# pi(v) for v <= 10^6 is a search in the prime table, so closed-form leaves stop here
+_LEAF_X = 10**6
+# int64 arrays as long as one ragged layout that are alive at once while it is built
+_LIVE_ARRAYS = 6
 
 
-def _ensure_primes(y: int) -> int:
-    """Extend the shared prime list through y; return the index of the largest prime <= y.
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending (np.unique would import numpy.ma, 10 ms of a cold CLI call)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
-    Extension preserves the prefix, so existing memo entries stay valid.
+
+class _Buchstab:
+    """One evaluation of Psi(x, p_k) for many x by the Buchstab recursion
+
+        Psi(x, p_k) = bitlen(x) + sum_{1<=i<=j} Psi(x // p_i, p_i) + sum_{j<i<=k} x // p_i,
+
+    with p_j the largest prime <= min(p_k, sqrt(x)): a prime p_i > sqrt(x) leaves
+    x // p_i < p_i, and every integer below p_i is p_i-smooth.  A node with
+    p_k^2 >= x and x <= 10^6 is a closed-form leaf, because each n <= x then has
+    at most one prime factor above p_k:
+
+        Psi(x, p_k) = x - sum_{q <= x // (p_k + 1)} (pi(x // q) - pi(p_k)).
+
+    The down pass takes the pending nodes band by band, x in (top/3, top].  A
+    child comes from a prime p_i >= 3, so it lies in a lower band, and all
+    copies of a node meet in its own band, where sorting merges them.  The
+    up pass walks the bands from the smallest x; the bands concatenated in
+    that order form one ascending key array, in which a node finds the values
+    of its children with np.searchsorted.  Every state lives in this object,
+    which serves one call; nothing is shared between calls.
+
+    Every row sum below is a partial count of one node: the recursion splits
+    the integers counted by Psi(x, p_k) into disjoint classes, so each sum is
+    <= Psi(x, p_k) <= x <= 10^12 and int64 arithmetic is exact.
     """
-    global _psi_primes
-    if not _psi_primes or _psi_primes[-1] < y:
-        _psi_primes = primes_up_to(max(y, 1000))
-    return bisect_right(_psi_primes, y) - 1
+
+    def __init__(self, k: int, where: str):
+        self.primes = prime_array()
+        self.squares = self.primes * self.primes
+        self.k = k
+        self.where = where
+        self.held = 0  # int64 elements alive outside the array being built
+
+    def _reserve(self, n: int) -> None:
+        need = 8 * (self.held + n)
+        if need > ARRAY_BYTES_LIMIT:
+            raise RangeError(
+                f"psi_count at {self.where} needs a working set of {need / 2**20:.0f} MiB, "
+                f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+            )
+
+    def _expand(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, rank) of each entry of a ragged layout with the given row lengths."""
+        total = int(counts.sum())
+        self._reserve(_LIVE_ARRAYS * total)
+        ends = np.cumsum(counts)
+        row = np.repeat(np.arange(counts.size), counts)
+        return row, np.arange(total) - (ends - counts)[row]
+
+    @staticmethod
+    def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        out = np.zeros(counts.size, dtype=np.int64)
+        full = counts > 0
+        if values.size:
+            out[full] = np.add.reduceat(values, (np.cumsum(counts) - counts)[full])
+        return out
+
+    def _children(self, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Keys of the children (x // p_i, i), i = 1..counts, of each node, row by row."""
+        row, rank = self._expand(counts)
+        i = rank + 1
+        return ((x[row] // self.primes[i]) << _KEY_BITS) | i
+
+    def _leaf_counts(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        qs = x // (self.primes[k] + 1)
+        row, rank = self._expand(qs)
+        pis = np.searchsorted(self.primes, x[row] // (rank + 1), side="right")
+        return x - (self._row_sums(pis, qs) - qs * (k + 1))
+
+    def _tail_sums(self, x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        counts = k - j
+        row, rank = self._expand(counts)
+        return self._row_sums(x[row] // self.primes[j[row] + 1 + rank], counts)
+
+    def run(self, xs: np.ndarray) -> np.ndarray:
+        pis = np.searchsorted(self.primes, xs, side="right")
+        roots = (xs << _KEY_BITS) | np.maximum(np.minimum(self.k, pis - 1), 0)
+        pending = _distinct(roots)
+        bands = []
+        nodes = 0
+        kept = self.squares.size  # and the recorded bands: keys, partial counts, child counts
+        while pending.size:
+            self.held = kept + pending.size
+            self._reserve(2 * pending.size)
+            tops = pending >> _KEY_BITS
+            in_band = tops > tops.max() // 3
+            band = _distinct(pending[in_band])
+            pending = pending[~in_band]
+            nodes += band.size
+            kept += 3 * band.size
+            self.held = kept + pending.size
+            x, k = band >> _KEY_BITS, band & _K_MASK
+            j = np.maximum(np.minimum(k, np.searchsorted(self.squares, x, side="right") - 1), 0)
+            leaf = (x <= _LEAF_X) & (self.squares[k] >= x)
+            inner = ~leaf
+            partial = np.empty_like(x)
+            partial[leaf] = self._leaf_counts(x[leaf], k[leaf])
+            xi = x[inner]
+            partial[inner] = np.frexp(xi.astype(np.float64))[1] + self._tail_sums(xi, j[inner], k[inner])
+            counts = np.where(leaf, 0, j)
+            bands.append((band, partial, counts))
+            children = self._children(x, counts)
+            self._reserve(pending.size + children.size)
+            pending = np.concatenate([pending, children])
+
+        bands.reverse()
+        self.held = kept + 2 * nodes  # the bands, and their keys and values in one array each
+        keys = np.concatenate([band for band, _, _ in bands])
+        values = np.empty_like(keys)
+        start = 0
+        for band, partial, counts in bands:
+            # children sit in lower bands, whose values are already final
+            child = np.searchsorted(keys, self._children(band >> _KEY_BITS, counts))
+            values[start : start + band.size] = partial + self._row_sums(values[child], counts)
+            start += band.size
+        return values[np.searchsorted(keys, roots)]
 
 
-def _psi(x: int, k: int) -> int:
-    # iterative in the prime index (recursion depth is then <= log2 x):
-    #   Psi(x, p_k) = Psi(x, 2) + sum_{1<=j<=k} Psi(x // p_j, p_j)
-    if x <= 0:
-        return 0
-    if x == 1:
-        return 1
-    kk = min(k, bisect_right(_psi_primes, x, hi=k + 1) - 1)
-    if kk < 0:
-        return 1
-    if kk == 0:
-        return x.bit_length()
-    # kk < pi(10^6) < 2^17, the prime table's reach, so the key is collision-free
-    key = (x << 17) | kk
-    v = _psi_memo.get(key)
-    if v is None:
-        v = x.bit_length()
-        for j in range(1, kk + 1):
-            v += _psi(x // _psi_primes[j], j)
-        _psi_memo[key] = v
-    return v
+def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
+    """Exact numbers of y-smooth integers in [1, x] for every x of xs, as int64 in input order.
+
+    One pass of the Buchstab recursion serves all of xs.  Raises
+    :class:`RangeError` before allocating when its working set would exceed
+    ``ARRAY_BYTES_LIMIT`` bytes.
+    """
+    xs = [operator.index(x) for x in xs]
+    y = operator.index(y)
+    for x in xs:
+        if x < 1:
+            raise ValueError(f"psi_count requires x >= 1, got {x}")
+        if x > PSI_X_LIMIT:
+            raise RangeError(f"psi_count supports x <= {PSI_X_LIMIT}, got {x}")
+    if y < 2:
+        raise ValueError(f"psi_count requires y >= 2, got {y}")
+    k = len(primes_up_to(y)) - 1
+    if not xs:
+        return np.zeros(0, dtype=np.int64)
+    return _Buchstab(k, f"x = {max(xs)}, y = {y}").run(np.array(xs, dtype=np.int64))
 
 
 def psi_count(x: int, y: int) -> int:
     """Exact number of y-smooth integers in [1, x]."""
-    if x < 1:
-        raise ValueError(f"psi_count requires x >= 1, got {x}")
-    if x > PSI_X_LIMIT:
-        raise RangeError(f"psi_count supports x <= {PSI_X_LIMIT}, got {x}")
-    if y < 2:
-        raise ValueError(f"psi_count requires y >= 2, got {y}")
-    k = _ensure_primes(y)
-    return _psi(x, k)
+    return int(psi_counts([x], y)[0])
 
 
 def psi_count_table(xmax: int, y: int) -> np.ndarray:
-    """Psi(x, y) for every x in 0..xmax at once, by the same recursion swept bottom-up."""
-    if xmax < 1 or xmax > 10**8:
-        raise ValueError(f"psi_count_table supports 1 <= xmax <= 1e8, got {xmax}")
+    """Psi(x, y) for every x in 0..xmax at once, by a sieve.
+
+    Every prime power p^e <= xmax with p <= y is divided out of 0..xmax; the
+    y-smooth n are those left at 1.  Raises :class:`RangeError` when the
+    table and its mask would exceed ``ARRAY_BYTES_LIMIT`` bytes.
+    """
+    xmax = operator.index(xmax)
+    if xmax < 1:
+        raise ValueError(f"psi_count_table requires xmax >= 1, got {xmax}")
+    y = operator.index(y)
     if y < 2:
         raise ValueError(f"psi_count_table requires y >= 2, got {y}")
-    xs = np.arange(xmax + 1, dtype=np.int64)
-    # base: count of powers of two <= x, i.e. bit_length(x) for x >= 1
-    table = np.zeros(xmax + 1, dtype=np.int64)
-    table[1:] = np.frexp(xs[1:].astype(np.float64))[1]
-    for p in primes_up_to(y):
-        if p == 2:
-            continue
-        # block [p^j, p^(j+1)) reads only indices < p^j, already final
-        lo = p
-        while lo <= xmax:
-            hi = min(lo * p - 1, xmax)
-            idx = np.arange(lo, hi + 1)
-            table[idx] += table[idx // p]
-            lo *= p
-    return table
+    ps = primes_up_to(y)
+    size = 9 * (xmax + 1)  # the int64 table, and one bool mask while it is summed
+    if size > ARRAY_BYTES_LIMIT:
+        raise RangeError(
+            f"psi_count_table up to xmax = {xmax} needs {size / 2**20:.0f} MiB, "
+            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+        )
+    rem = np.arange(xmax + 1, dtype=np.int64)
+    for p in ps:
+        if p > xmax:
+            break
+        pe = p
+        while pe <= xmax:
+            rem[::pe] //= p
+            pe *= p
+    return np.cumsum(rem == 1, out=rem)
 
 
 @dataclass(frozen=True)
@@ -322,21 +450,28 @@ def delta_estimate(u: float, x: int, n_points: int = 64) -> DeltaEstimate:
     s_max is pushed until the integrand drops below 1e-6 or x^s would leave
     the exact counter's desk range (then the result is flagged truncated).
     """
+    if not math.isfinite(u):
+        raise ValueError(f"delta_estimate requires a finite u, got {u}")
     if u < 1:
         raise ValueError(f"delta_estimate requires u >= 1, got {u}")
     if x > 1000 or x < 3:
         raise ValueError(f"delta_estimate requires 3 <= x <= 1000, got {x}")
     log_cap = math.log(_DELTA_CAP) / math.log(x)
+    probes = []
+    s = u
+    while s + 0.25 <= log_cap:
+        s += 0.25
+        probes.append(s)
     s_max = u
     truncated = True
-    while s_max + 0.25 <= log_cap:
-        s_max += 0.25
-        ratio = psi_count(int(x**s_max), x) / x**s_max
-        if ratio < 1e-6:
+    for s, count in zip(probes, psi_counts([int(x**s) for s in probes], x).tolist()):
+        s_max = s
+        if count / x**s < 1e-6:
             truncated = False
             break
     grid = np.linspace(u, s_max, n_points)
-    vals = [psi_count(int(x**s), x) / x**s for s in grid]
+    counts = psi_counts([int(x**s) for s in grid], x).tolist()
+    vals = [c / x**s for c, s in zip(counts, grid)]
     integral = sum(
         0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1])
         for i in range(len(grid) - 1)

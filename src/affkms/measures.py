@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .arith import (
+    ARRAY_BYTES_LIMIT,
     PrimeSet,
     RangeError,
     divisors,
@@ -37,10 +38,6 @@ from .arith import (
     totient_beta,
     zeta,
 )
-
-# bytes of the largest float64 array a measure kernel may allocate: the dense
-# K x K system of apply_A_inv (K <= 4096) and the 2^m x K verifier frontier
-ARRAY_BYTES_LIMIT = 128 * 2**20
 
 
 @dataclass(frozen=True, order=True)

@@ -1,14 +1,18 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affkms import asymptotics
-from affkms.arith import PrimeSet, RangeError, primes_up_to
+from affkms.arith import PrimeSet, RangeError, primes_up_to, smooth_numbers
 from affkms.asymptotics import (
     EULER_GAMMA,
+    DeltaEstimate,
     SequenceSpec,
     delta_estimate,
     density_sum,
@@ -18,6 +22,7 @@ from affkms.asymptotics import (
     mertens_product,
     psi_count,
     psi_count_table,
+    psi_counts,
     smooth_harmonic_sum,
     wiener_sum,
 )
@@ -33,6 +38,123 @@ def brute_smooth_counts(xmax, y):
     smooth[0] = 0
     smooth[2:] = (lpf[2:] <= y).astype(np.int64)
     return np.cumsum(smooth)
+
+
+# The memoised scalar recursion that psi_counts replaced, kept verbatim as an
+# oracle for x <= 10^7 (its memo belongs to this test module).
+_psi_primes: list[int] = []
+_psi_memo: dict[int, int] = {}
+
+
+def _ensure_primes(y: int) -> int:
+    global _psi_primes
+    if not _psi_primes or _psi_primes[-1] < y:
+        _psi_primes = primes_up_to(max(y, 1000))
+    return bisect_right(_psi_primes, y) - 1
+
+
+def _psi(x: int, k: int) -> int:
+    # iterative in the prime index (recursion depth is then <= log2 x):
+    #   Psi(x, p_k) = Psi(x, 2) + sum_{1<=j<=k} Psi(x // p_j, p_j)
+    if x <= 0:
+        return 0
+    if x == 1:
+        return 1
+    kk = min(k, bisect_right(_psi_primes, x, hi=k + 1) - 1)
+    if kk < 0:
+        return 1
+    if kk == 0:
+        return x.bit_length()
+    # kk < pi(10^6) < 2^17, the prime table's reach, so the key is collision-free
+    key = (x << 17) | kk
+    v = _psi_memo.get(key)
+    if v is None:
+        v = x.bit_length()
+        for j in range(1, kk + 1):
+            v += _psi(x // _psi_primes[j], j)
+        _psi_memo[key] = v
+    return v
+
+
+def recursion_oracle(x: int, y: int) -> int:
+    return _psi(x, _ensure_primes(y))
+
+
+def lucy_oracle(x: int, y: int) -> int:
+    """Psi(x, y) for sqrt(x) <= y <= x, from Lucy_Hedgehog's table of pi(x // d).
+
+    Each n <= x has at most one prime factor p > y, so
+    Psi(x, y) = x - sum_{y < p <= x} x // p = x - sum_{q <= x // (y+1)} (pi(x // q) - pi(y)).
+    """
+    assert y * y >= x
+    r = math.isqrt(x)
+    vs = [x // d for d in range(1, r + 1)]
+    vs += list(range(vs[-1] - 1, 0, -1))
+    pi = {v: v - 1 for v in vs}
+    for p in range(2, r + 1):
+        if pi[p] > pi[p - 1]:
+            below, p2 = pi[p - 1], p * p
+            for v in vs:
+                if v < p2:
+                    break
+                pi[v] -= pi[v // p] - below
+    pi_y = len(primes_up_to(y))
+    return x - sum(pi[x // q] - pi_y for q in range(1, x // (y + 1) + 1))
+
+
+_SMALL_PRIMES = primes_up_to(3162)  # p^2 <= 10^7
+
+
+class TestPsiAgainstRecursion:
+    @given(st.sampled_from(_SMALL_PRIMES), st.integers(-3, 3), st.integers(-1, 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_at_the_square_cutoff(self, p, delta, shift, same_prime):
+        # x = p^2 + delta straddles the leaf condition p_k^2 >= x
+        x = max(p * p + delta, 1)
+        y = max(p + shift if same_prime else math.isqrt(x) + shift, 2)
+        assert psi_count(x, y) == recursion_oracle(x, y)
+
+    @given(st.integers(1, 10**7), st.sampled_from(primes_up_to(20_000)), st.integers(-1, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_y_within_one_of_a_prime(self, x, q, shift):
+        y = max(q + shift, 2)
+        assert psi_count(x, y) == recursion_oracle(x, y)
+
+    def test_batches_unsorted_with_duplicates(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            y = rng.randint(2, 1000)
+            xs = [rng.randint(1, 2 * 10**6) for _ in range(rng.randint(1, 20))]
+            xs += xs[: rng.randint(0, len(xs))] + [1]
+            rng.shuffle(xs)
+            got = psi_counts(xs, y)
+            assert got.dtype == np.int64
+            assert got.tolist() == [psi_count(x, y) for x in xs] == [recursion_oracle(x, y) for x in xs]
+
+    def test_empty_batch(self):
+        assert psi_counts([], 97).tolist() == []
+
+    @pytest.mark.parametrize("x, y", [(10**6, 1000), (4 * 10**7 + 7, 16001), (6 * 10**7, 17880), (99_991, 317)])
+    def test_large_y_against_lucy(self, x, y):
+        assert psi_count(x, y) == lucy_oracle(x, y)
+
+    def test_seven_smooth_at_the_top_of_the_range(self):
+        assert psi_count(10**12, 7) == len(smooth_numbers(PrimeSet.of([2, 3, 5, 7]), 10**12))
+
+    def test_delta_estimate_matches_scalar_probe_loop(self):
+        # the probe and grid loops of the scalar implementation, on the oracle
+        for u, x in ((1.3, 11), (1.0, 3), (2.0, 20)):
+            log_cap = math.log(10**9) / math.log(x)
+            s_max, truncated = u, True
+            while s_max + 0.25 <= log_cap:
+                s_max += 0.25
+                if recursion_oracle(int(x**s_max), x) / x**s_max < 1e-6:
+                    truncated = False
+                    break
+            grid = np.linspace(u, s_max, 64)
+            vals = [recursion_oracle(int(x**s), x) / x**s for s in grid]
+            integral = sum(0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1]) for i in range(63))
+            assert delta_estimate(u, x) == DeltaEstimate(float(integral), s_max, truncated)
 
 
 class TestPsiCount:
@@ -69,7 +191,6 @@ class TestPsiCount:
     def test_memo_keys_distinct_past_prime_index_2048(self):
         # the index of 19000's largest prime exceeds 2048; a key packing the
         # index into 11 bits hands this call an entry of the first one
-        asymptotics._psi_memo.clear()
         psi_count(20001, 601)
         n_primes = len(primes_up_to(20000)) - len(primes_up_to(19000))
         assert psi_count(20000, 19000) == 20000 - n_primes
@@ -79,6 +200,27 @@ class TestPsiCount:
             psi_count(10**12 + 1, 100)
         with pytest.raises(ValueError):
             psi_count(10, 1)
+
+    def test_non_integers_rejected(self):
+        for x, y in ((10.7, 7), (10, 7.0), (np.float64(10.0), 7)):
+            with pytest.raises(TypeError):
+                psi_count(x, y)
+            with pytest.raises(TypeError):
+                psi_counts([1, x], y)
+        assert psi_count(np.int64(100), np.int32(7)) == psi_count(100, 7)
+
+    def test_working_set_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        with pytest.raises(RangeError, match=r"x = 1000000000, y = 997 needs .* MiB, over the 1 MiB limit"):
+            psi_count(10**9, 997)
+        with pytest.raises(RangeError, match=r"x = 1000000000, y = 997"):
+            psi_counts([5, 10**9, 17], 997)
+        assert psi_count(10**5, 97) == 17442
+
+    def test_table_refused_over_the_array_limit(self):
+        # 9 * (10^8 + 1) bytes, refused before anything is allocated
+        with pytest.raises(RangeError, match="xmax = 100000000 needs 858 MiB"):
+            psi_count_table(10**8, 97)
 
 
 class TestDickman:
@@ -216,6 +358,11 @@ class TestWienerSum:
 
 
 class TestDeltaEstimate:
+    def test_nonfinite_u_rejected(self):
+        for u in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite u"):
+                delta_estimate(u, 100)
+
     def test_large_u_collapses(self):
         est = delta_estimate(4.5, 100)
         assert est.value < 1e-3

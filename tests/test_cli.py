@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from affkms import cli
+from affkms import asymptotics, cli
 from affkms.cli import main
 from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
 
@@ -299,6 +300,24 @@ class TestAsymptoticsCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] < 0.05
+
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_delta_estimate_rejects_nonfinite_u(self, run, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("delta-estimate", "--u", u, "--x", "100")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: delta_estimate requires a finite u, got {u}\n"
+
+    def test_psi_working_set_refused(self, run, monkeypatch):
+        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        code, out, err = run("psi-count", "--x", "1000000000", "--y", "997")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: psi_count at x = 1000000000, y = 997 needs")
+        assert err.endswith("over the 1 MiB limit\n")
 
 
 class TestSelfTest:
