@@ -22,9 +22,10 @@ INT64_MAX = 2**63 - 1
 
 _SIEVE_LIMIT = 10**6
 
-# bytes of the largest working set an array kernel may allocate: the dense
-# K x K system of apply_A_inv (K <= 4096), the 2^m x K verifier frontier,
-# the Psi engine's node arrays and the Psi sieve table
+# bytes of the largest working set a kernel may allocate: the 2^m x K
+# verifier frontier, the atoms and level-K vectors of apply_A_inv, the atoms
+# of epsilon and extremal_measure, the Psi engine's node arrays and the Psi
+# sieve table
 ARRAY_BYTES_LIMIT = 128 * 2**20
 
 # deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24

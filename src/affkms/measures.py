@@ -6,7 +6,7 @@ circle.  Phases stay exact fractions until the final trigonometric call in
 
 * wrap-around pushforward  omega_d: z -> z^d,
 * the operators  A_{beta,n} nu = sum_{d|n} mu(d) d^-beta omega_d* nu  and
-  their positive inverses (dense solve on a fixed root level),
+  their positive inverses (pushes on a fixed root level),
 * the extremal measures  nu_{beta,n}  with atom n^-beta phi_beta(ord z)/phi(ord z)
   on each z with ord(z) | n, and the convex decomposition of an arbitrary
   non-negative measure into them,
@@ -18,8 +18,9 @@ Measures are immutable values; every operation returns a fresh measure.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from math import cos, fsum, gcd, lcm, pi, sin
+from math import cos, fsum, gcd, isfinite, lcm, pi, sin
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,6 +39,21 @@ from .arith import (
     totient_beta,
     zeta,
 )
+
+# bytes one atom of an AtomicMeasure costs while it is built: its RootOfUnity
+# key, its float and its slots in two dicts (input and copy).  tracemalloc's
+# peak per atom was 255-288 B for extremal_measure(n) and 207-276 B for
+# epsilon(n) at n from 5*10^4 to 4.5*10^5, where the guards below bite.
+ATOM_BYTES = 288
+
+
+def _charge(what: str, size: int) -> None:
+    """Raise :class:`RangeError` when size bytes exceed ``ARRAY_BYTES_LIMIT``."""
+    if size > ARRAY_BYTES_LIMIT:
+        raise RangeError(
+            f"{what} needs {size / 2**20:.0f} MiB, "
+            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -178,7 +194,9 @@ def epsilon(n: int) -> AtomicMeasure:
     """Uniform probability measure on the primitive n-th roots of unity."""
     if n < 1:
         raise ValueError(f"epsilon requires n >= 1, got {n}")
-    w = 1.0 / totient(n)
+    phi = totient(n)
+    _charge(f"epsilon({n}) with {phi} atoms", phi * ATOM_BYTES)
+    w = 1.0 / phi
     return AtomicMeasure({RootOfUnity(j, n): w for j in range(n) if gcd(j, n) == 1})
 
 
@@ -197,32 +215,51 @@ def apply_A_inv(
 ) -> AtomicMeasure:
     """The unique mu on the level-K roots with A_{beta,n} mu = nu.
 
-    Solved as a dense K x K linear system over the atoms indexed by all K-th
-    roots of unity.  For beta > 0 the inverse is a positive operator, and
-    prod_{p|n}(1-p^-beta) * mu is a probability measure whenever nu is.
-    Raises :class:`RangeError` before building anything when that system
-    would exceed ``ARRAY_BYTES_LIMIT`` bytes.
+    A_{beta,n} = prod_{p|n} (I - c_p P_p) with c_p = p^-beta and P_p the push
+    by z -> z^p on the K-th roots; the factors commute.  Each factor is
+    inverted by its Neumann series, summed to T = 2^s terms as
+    sum_{t<T} c^t P^t = prod_{i<s} (I + c^(2^i) P^(2^i)), where P^(2^i) is the
+    push by p^(2^i) mod K.  s is the least with c^T <= 2^-60 (1 - c), so the
+    dropped tail c^T P^T (I - cP)^-1 v weighs at most 2^-60 |v|_1.  Every term
+    is a positive multiple of a push: for beta > 0 the inverse is a positive
+    operator, and prod_{p|n}(1-p^-beta) * mu is a probability measure whenever
+    nu is.
+
+    A_{beta,n} mu, applied by the same pushes, must equal nu within 1e-9 in
+    every atom, or :class:`RuntimeError`.  Raises :class:`RangeError` before
+    allocating when the K output atoms and the working vectors would exceed
+    ``ARRAY_BYTES_LIMIT`` bytes, and ``ValueError`` when some p^-beta rounds
+    to 1, where the series does not converge in float64.
     """
     if beta <= 0:
         raise ValueError(f"apply_A_inv requires beta > 0, got {beta}")
     K = level if level is not None else nu.support_level()
-    if 8 * K * K > ARRAY_BYTES_LIMIT:
-        raise RangeError(
-            f"apply_A_inv at level K = {K} needs a dense {K} x {K} system of "
-            f"{8 * K * K / 2**20:.0f} MiB, over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-        )
-    rhs = _level_vector(nu, K)
-    # column j is the root j/K; omega_d sends it to row j*d mod K
-    M = np.zeros((K, K))
-    cols = np.arange(K)
-    for d in squarefree_products(PrimeSet.dividing(n)):
-        M[(cols * d) % K, cols] += mobius(d) * float(d) ** -beta
-    sol = np.linalg.solve(M, rhs)
-    residual = float(np.max(np.abs(M @ sol - rhs)))
+    # besides the atoms: four float64 vectors and the K Python floats the atoms
+    # are read from, 32 B per root each (tracemalloc's peak: 64 B per root)
+    _charge(f"apply_A_inv at level K = {K}", K * (ATOM_BYTES + 64))
+    factors = [(p, float(p) ** -beta) for p in PrimeSet.dividing(n)]
+    rhs = _level_vector(nu, K)[None]
+    mu, tmp = rhs.copy(), np.empty_like(rhs)
+    for p, c in factors:
+        if c == 1.0:
+            raise ValueError(f"apply_A_inv: {p}^-beta rounds to 1 at beta = {beta}")
+        stop, d = 2.0**-60 * (1.0 - c), p
+        while c > stop:
+            _push(mu, d, tmp)
+            tmp *= c
+            mu += tmp
+            c, d = c * c, d * d % K
+    res = mu.copy()
+    for p, c in factors:
+        _push(res, p, tmp)
+        tmp *= c
+        res -= tmp
+    res -= rhs
+    residual = float(np.max(np.abs(res)))
     if residual > 1e-9:
         raise RuntimeError(f"A_inv solve residual {residual:.2e} exceeds 1e-9")
     return AtomicMeasure(
-        {root(j, K): float(w) for j, w in enumerate(sol) if w != 0.0},
+        {root(j, K): w for j, w in enumerate(mu[0].tolist()) if w != 0.0},
         signed=nu.signed,
     )
 
@@ -235,6 +272,25 @@ def _level_vector(nu: AtomicMeasure, K: int) -> np.ndarray:
             raise ValueError(f"atom {z} is not supported on the level-{K} roots")
         vec[z.num * (K // z.den)] = w
     return vec
+
+
+def _push(src: np.ndarray, d: int, out: np.ndarray) -> None:
+    """Write the pushforward by z -> z^d of each row of src into out.
+
+    Rows are weights on the K-th roots, column j on the root j/K; out has the
+    shape of src and does not overlap it.  With g = gcd(d, K) and K' = K/g,
+    j d = g ((j mod K') (d/g) mod K') (mod K): the g columns j = r (mod K')
+    add up into column g (r d/g mod K').  For g = 1 that is a permutation.
+    """
+    rows, K = src.shape
+    g = gcd(d, K)
+    Kp = K // g
+    cols = g * (np.arange(Kp) * (d // g % Kp) % Kp)
+    if g == 1:
+        out[:, cols] = src
+    else:
+        out.fill(0.0)
+        out[:, cols] = src.reshape(rows, g, Kp).sum(axis=1)
 
 
 def fourier(nu: AtomicMeasure, k: int) -> complex:
@@ -289,27 +345,18 @@ def check_subconformal(
     window = [p for p in primes_up_to(extra_prime_bound) if K % p != 0]
     ps = sorted(support_ps + window)
     m = len(ps)
-    size = 8 * K << m
-    if size > ARRAY_BYTES_LIMIT:
-        raise RangeError(
-            f"check_subconformal over m = {m} primes at level K = {K} needs a "
-            f"2^{m} x {K} frontier of {size / 2**20:.0f} MiB, "
-            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-        )
+    _charge(
+        f"check_subconformal over m = {m} primes at level K = {K} with a 2^{m} x {K} frontier",
+        8 * K << m,
+    )
 
     # rows [n, 2n) = rows [0, n) - p^-beta * (their pushforward by p)
     frontier = np.empty((1 << m, K))
     frontier[0] = _level_vector(nu, K)
-    cols = np.arange(K)
     for b, p in enumerate(ps):
         n = 1 << b
         src, dst = frontier[:n], frontier[n : 2 * n]
-        if K % p:
-            dst[:, (cols * p) % K] = src
-        else:
-            # p * (r + t K/p) = p r mod K: the p preimages of column p r add up
-            dst.fill(0.0)
-            dst[:, ::p] = src.reshape(n, p, K // p).sum(axis=1)
+        _push(src, p, dst)
         dst *= -(float(p) ** -beta)
         dst += src
     r, j = divmod(int(np.argmin(frontier)), K)
@@ -341,6 +388,7 @@ def extremal_measure(n: int, beta: float) -> AtomicMeasure:
     """
     if n < 1:
         raise ValueError(f"extremal_measure requires n >= 1, got {n}")
+    _charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_BYTES)
     scale = float(n) ** -beta
     acc: dict[RootOfUnity, float] = {}
     for d in divisors(n):
@@ -472,12 +520,19 @@ def measure_to_dict(nu: AtomicMeasure) -> dict:
 
 
 def measure_from_dict(data: Mapping) -> AtomicMeasure:
-    atoms = {
-        RootOfUnity(int(a["num"]), int(a["den"])): float(a["weight"])
-        for a in data["atoms"]
-    }
+    """Read the JSON schema; num, den and level must be integers, weights finite."""
+    atoms = {}
+    for a in data["atoms"]:
+        z = RootOfUnity(operator.index(a["num"]), operator.index(a["den"]))
+        w = float(a["weight"])
+        if not isfinite(w):
+            raise ValueError(f"atom {z} has weight {w}; weights must be finite")
+        atoms[z] = w
+    level = data.get("level")
     return AtomicMeasure(
-        atoms, signed=bool(data.get("signed", False)), level=data.get("level")
+        atoms,
+        signed=bool(data.get("signed", False)),
+        level=None if level is None else operator.index(level),
     )
 
 

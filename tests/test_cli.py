@@ -8,6 +8,14 @@ from affkms import asymptotics, cli
 from affkms.cli import main
 from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
 
+# measure files that the parser must refuse: non-finite weights, non-integer fields
+MALFORMED_MEASURES = {
+    "nan-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": NaN}]}',
+    "infinite-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": Infinity}]}',
+    "float-level": '{"level": 6.0, "atoms": [{"num": 1, "den": 2, "weight": 1.0}]}',
+    "float-root": '{"atoms": [{"num": 1.7, "den": 2.2, "weight": 1.0}]}',
+}
+
 
 @pytest.fixture
 def run(capsys):
@@ -115,6 +123,22 @@ class TestDecompose:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MEASURES))
+    @pytest.mark.parametrize("argv", [
+        ("check-subconformal", "--beta", "1", "--prime-bound", "5"),
+        ("t-beta", "--beta", "2"),
+        ("decompose", "--beta", "1.0"),
+    ])
+    def test_malformed_measure_is_usage_error(self, run, tmp_path, case, argv):
+        path = tmp_path / "m.json"
+        path.write_text(MALFORMED_MEASURES[case])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(*argv, "--measure", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: bad measure schema")
+
     def test_malformed_json_reports_position(self, run, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"level": 2,\n  "atoms": [}')
@@ -162,12 +186,26 @@ class TestMeasureCommands:
         assert set(w1) == set(w2)
         assert all(abs(w1[k] - w2[k]) < 1e-10 for k in w1)
 
-    def test_oversized_dense_solve_refused(self, run):
-        code, out, err = run("extremal-measure", "--route", "inverse", "--n", "5000",
+    def test_inverse_route_past_the_old_dense_ceiling(self, run):
+        code, out, _ = run("extremal-measure", "--route", "inverse", "--n", "5000",
+                           "--beta", "0.5")
+        assert code == 0
+        got = {(a["num"], a["den"]): a["weight"] for a in json.loads(out)["atoms"]}
+        want = extremal_measure(5000, 0.5).atoms()
+        assert set(got) == {(z.num, z.den) for z in want}
+        assert max(abs(got[z.num, z.den] - w) for z, w in want.items()) <= 1e-10
+        code, out, err = run("extremal-measure", "--route", "inverse", "--n", "10000000",
                              "--beta", "0.5")
         assert code == 1
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "K = 5000" in err
+        assert err.count("\n") == 1 and err.startswith("error:") and "10000000" in err
+
+    def test_closed_route_atom_guard(self, run):
+        code, out, err = run("extremal-measure", "--n", "10000000", "--beta", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "extremal_measure(10000000)" in err and "MiB" in err
 
     def test_failed_solve_guard_exits_2(self, run):
         code, out, err = run("extremal-measure", "--route", "inverse", "--n", "840",

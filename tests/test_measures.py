@@ -5,12 +5,27 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affkms.arith import RangeError, divisors, factorize, primes_up_to, totient, totient_beta, zeta
+from affkms import measures
+from affkms.arith import (
+    ARRAY_BYTES_LIMIT,
+    PrimeSet,
+    RangeError,
+    divisors,
+    factorize,
+    mobius,
+    primes_up_to,
+    squarefree_products,
+    totient,
+    totient_beta,
+    zeta,
+)
 from affkms.measures import (
+    ATOM_BYTES,
     ONE,
     AtomicMeasure,
     NotOrbitInvariantError,
@@ -163,10 +178,96 @@ class TestApplyAInv:
         with pytest.raises(ValueError):
             apply_A_inv(epsilon(2), 2, 0.0)
 
-    def test_dense_system_over_the_limit_refused(self):
-        # 4097^2 float64 entries exceed 128 MiB; the refusal comes before any allocation
-        with pytest.raises(RangeError, match=r"K = 4097 .* 128 MiB"):
-            apply_A_inv(epsilon(1), 1, 0.5, level=4097)
+    def test_atom_guard_refuses_over_the_limit(self):
+        # K output atoms and eight 8-byte words per root are charged before allocating
+        assert apply_A_inv(epsilon(1), 1, 0.5, level=4097).atoms() == {ONE: 1.0}
+        k_max = ARRAY_BYTES_LIMIT // (ATOM_BYTES + 64)
+        assert apply_A_inv(epsilon(1), 1, 0.5, level=k_max).atoms() == {ONE: 1.0}
+        with pytest.raises(RangeError, match=rf"K = {k_max + 1} needs 128 MiB, over the 128 MiB"):
+            apply_A_inv(epsilon(1), 1, 0.5, level=k_max + 1)
+
+    def test_beta_so_small_that_p_pow_minus_beta_rounds_to_one_rejected(self):
+        with pytest.raises(ValueError, match="2\\^-beta rounds to 1"):
+            apply_A_inv(epsilon(6), 6, 1e-17)
+
+    def test_residual_guard_refuses_tiny_beta(self):
+        with pytest.raises(RuntimeError, match=r"A_inv solve residual 2.08e-07 exceeds 1e-9"):
+            apply_A_inv(epsilon(840), 840, 0.001, level=840)
+
+
+def dense_A_inv(nu, n, beta, K):
+    """The former dense route: solve the K x K system of A_{beta,n} on the K-th roots."""
+    rhs = measures._level_vector(nu, K)
+    M = np.zeros((K, K))
+    cols = np.arange(K)
+    for d in squarefree_products(PrimeSet.dividing(n)):
+        M[(cols * d) % K, cols] += mobius(d) * float(d) ** -beta
+    return np.linalg.solve(M, rhs)
+
+
+def normalized_inverse(n, beta):
+    scale = math.prod(1 - p**-beta for p in PrimeSet.dividing(n))
+    return apply_A_inv(epsilon(n), n, beta, level=n).scaled(scale)
+
+
+class TestPushKernel:
+    """measures._push on level-K arrays against the dict pushforward."""
+
+    @pytest.mark.parametrize("K", [1, 12, 30, 97, 360])
+    def test_matches_dict_pushforward(self, K):
+        rng = random.Random(K)
+        nu = AtomicMeasure({root(j, K): rng.uniform(-1, 1) for j in range(K)}, signed=True)
+        src = measures._level_vector(nu, K)[None]
+        gcd_between = [d for d in range(2, 4 * K) if 1 < gcd(d, K) < d]
+        for d in {K, 2 * K + 1, 5 * K + 7, *divisors(K), *gcd_between[:6]}:
+            out = np.full_like(src, np.nan)
+            measures._push(src, d, out)
+            want = measures._level_vector(pushforward(nu, d), K)
+            assert np.max(np.abs(out[0] - want)) <= 1e-15 * K
+
+    def test_exponent_zero_sends_everything_to_one(self):
+        src = np.arange(24.0).reshape(2, 12)
+        out = np.full_like(src, np.nan)
+        measures._push(src, 0, out)
+        assert out[:, 0].tolist() == [66.0, 210.0]
+        assert not out[:, 1:].any()
+
+
+class TestInverseAgainstClosedForm:
+    """The push inverse, rescaled, against the closed-form extremal measures."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 1.0])
+    def test_every_n_up_to_300(self, beta):
+        worst = max(
+            max_atom_diff(normalized_inverse(n, beta), extremal_measure(n, beta))
+            for n in range(1, 301)
+        )
+        assert worst <= 1e-12
+
+    def test_level_120120(self):
+        n, beta = 120120, 0.7
+        assert max_atom_diff(normalized_inverse(n, beta), extremal_measure(n, beta)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 512), st.floats(0.3, 2.0), st.data())
+    def test_matches_dense_solve(self, K, beta, data):
+        n = data.draw(st.sampled_from(divisors(K)))
+        js = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=8, unique=True))
+        ws = data.draw(st.lists(st.floats(-1, 1), min_size=len(js), max_size=len(js)))
+        nu = AtomicMeasure({root(j, K): w for j, w in zip(js, ws)}, signed=True)
+        want = dense_A_inv(nu, n, beta, K)
+        got = measures._level_vector(apply_A_inv(nu, n, beta, level=K), K)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestAtomGuard:
+    def test_epsilon_refused_at_ten_million(self):
+        with pytest.raises(RangeError, match=r"epsilon\(10000000\) with 4000000 atoms needs 1099 MiB"):
+            epsilon(10**7)
+
+    def test_extremal_measure_refused_at_ten_million(self):
+        with pytest.raises(RangeError, match=r"extremal_measure\(10000000\) .* 2747 MiB"):
+            extremal_measure(10**7, 0.7)
 
 
 class TestFourier:
@@ -555,7 +656,22 @@ class TestTBetaExactRoot:
         assert got.weight(ONE) < ws[-1]
 
 
+MALFORMED_MEASURES = {
+    "nan-weight": ('{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": NaN}]}', ValueError),
+    "infinite-weight": ('{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": Infinity}]}',
+                        ValueError),
+    "float-level": ('{"level": 6.0, "atoms": [{"num": 1, "den": 2, "weight": 1.0}]}', TypeError),
+    "float-root": ('{"atoms": [{"num": 1.7, "den": 2.2, "weight": 1.0}]}', TypeError),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MEASURES))
+    def test_malformed_measure_rejected(self, case):
+        text, error = MALFORMED_MEASURES[case]
+        with pytest.raises(error):
+            measure_from_json(text)
+
     def test_roundtrip_bit_exact(self):
         nu = AtomicMeasure(
             {root(1, 3): 0.1 + 0.2, root(5, 7): -1.75, ONE: 1e-17}, signed=True
