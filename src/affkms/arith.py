@@ -28,6 +28,11 @@ _SIEVE_LIMIT = 10**6
 # sieve table
 ARRAY_BYTES_LIMIT = 128 * 2**20
 
+# bytes one member of a smooth monoid costs once listed: its int64 slot, its
+# Python int and its list slot.  tracemalloc's peak per member was 47.9-48.0 B
+# for 4 * 10^4 to 7 * 10^5 members.
+SMOOTH_BYTES = 48
+
 # deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -223,26 +228,42 @@ class PrimeSet:
         return p in self.primes
 
 
-def smooth_numbers(F: PrimeSet, bound: int) -> list[int]:
-    """All members of the multiplicative monoid generated by F in [1, bound], ascending."""
+def smooth_array(F: PrimeSet, bound: int) -> np.ndarray:
+    """The monoid generated by F in [1, bound] as one ascending int64 array.
+
+    It is built one prime at a time: the members so far times p, p^2, ...
+    while the product stays <= bound.  Raises :class:`RangeError` for
+    bound >= 2^63, and before building a part that would take the array and
+    the list of :func:`smooth_numbers` past ``ARRAY_BYTES_LIMIT`` bytes.
+    """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    ps = F.primes
-    out: list[int] = []
+    if bound > INT64_MAX:
+        raise RangeError(f"smooth_numbers requires bound < 2^63, got {bound}")
+    monoid = np.ones(1, dtype=np.int64)
+    for p in F.primes:
+        parts = [monoid]
+        size = monoid.size
+        part = monoid[monoid <= bound // p]
+        while part.size:
+            size += part.size
+            if size * SMOOTH_BYTES > ARRAY_BYTES_LIMIT:
+                raise RangeError(
+                    f"smooth_numbers of {len(F)} primes up to {bound} lists more than {size} "
+                    f"integers ({size * SMOOTH_BYTES / 2**20:.0f} MiB), "
+                    f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+                )
+            part = part * p
+            parts.append(part)
+            part = part[part <= bound // p]
+        monoid = np.concatenate(parts)
+    monoid.sort()
+    return monoid
 
-    def rec(val: int, i: int) -> None:
-        out.append(val)
-        for j in range(i, len(ps)):
-            nxt = val * ps[j]
-            if nxt > bound:
-                if ps[j] > bound // max(val, 1):
-                    break
-                continue
-            rec(nxt, j)
 
-    rec(1, 0)
-    out.sort()
-    return out
+def smooth_numbers(F: PrimeSet, bound: int) -> list[int]:
+    """All members of the multiplicative monoid generated by F in [1, bound], ascending."""
+    return smooth_array(F, bound).tolist()
 
 
 def squarefree_products(F: PrimeSet) -> list[int]:

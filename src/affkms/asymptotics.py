@@ -30,6 +30,7 @@ from .arith import (
     is_prime,
     prime_array,
     primes_up_to,
+    smooth_array,
     smooth_numbers,
 )
 
@@ -251,40 +252,73 @@ class DickmanGrid:
         return np.array(out)
 
 
+# every finite double is an integer multiple of 2^-1074, so a sum of them held
+# as an integer multiple of 2^-1100 is exact
+_WINDOW_BITS = 1100
+_WINDOW_SCALE = 1 << _WINDOW_BITS
+# the grid reaches rho(50)
+_U_MAX = 50.0
+
+
+def _scaled(v: float) -> int:
+    """v as an exact integer multiple of 2^-1100."""
+    num, den = v.as_integer_ratio()
+    return num << (_WINDOW_BITS + 1 - den.bit_length())
+
+
 @lru_cache(maxsize=32)
 def _raw_grid(n_steps: int, h: float) -> tuple[float, ...]:
-    # u * rho(u) = integral_{u-1}^{u} rho, advanced by trapezoid steps
+    # u * rho(u) = integral_{u-1}^{u} rho, advanced by trapezoid steps.  The
+    # sum of rho over the M - 1 interior points of the window is one exact
+    # integer; one int/int true division rounds it correctly, as fsum would.
     M = round(1.0 / h)
     if abs(M * h - 1.0) > 1e-12:
         raise ValueError(f"step {h} must divide 1 exactly")
     rho = [1.0] * (M + 1)
+    scaled = [_WINDOW_SCALE] * (M + 1)
+    window = (M - 1) * _WINDOW_SCALE  # rho over [i - M + 1, i - 1]
     for i in range(M + 1, n_steps + 1):
         u = i * h
-        window = 0.5 * rho[i - M] + math.fsum(rho[i - M + 1 : i])
-        rho.append(h * window / (u - 0.5 * h))
+        v = h * (0.5 * rho[i - M] + window / _WINDOW_SCALE) / (u - 0.5 * h)
+        rho.append(v)
+        scaled.append(_scaled(v))
+        window += scaled[i] - scaled[i - M + 1]
     return tuple(rho)
 
 
-def dickman_grid(u_max: float, h: float = 0.005) -> DickmanGrid:
-    """Richardson-extrapolated grid (steps h and h/2) of the Dickman function."""
+def _check_args(name: str, arg: str, u: float, h: float, top: float) -> None:
+    """Refuse an argument u outside [0, top] and a step h outside (0, 0.01]."""
+    if not math.isfinite(u):
+        raise ValueError(f"{name} requires a finite {arg}, got {u}")
+    if u < 0:
+        raise ValueError(f"{name} requires {arg} >= 0, got {u}")
+    if not h > 0:
+        raise ValueError(f"{name} requires a step h > 0, got {h}")
     if h > 0.01:
         raise ValueError(f"step must be <= 0.01, got {h}")
-    if u_max > 50:
-        raise ValueError(f"u_max must be <= 50, got {u_max}")
+    if u > top:
+        raise ValueError(f"{arg} must be <= {top:g} at step h = {h}, got {u}")
+
+
+def _grid(u_max: float, h: float) -> DickmanGrid:
     n = int(math.ceil(u_max / h - 1e-9))
-    coarse = _raw_grid(n, h)
-    fine = _raw_grid(2 * n, h / 2)
-    vals = np.array([(4.0 * fine[2 * i] - coarse[i]) / 3.0 for i in range(n + 1)])
-    return DickmanGrid(h, vals)
+    coarse = np.array(_raw_grid(n, h)[: n + 1])
+    fine = np.array(_raw_grid(2 * n, h / 2)[: 2 * n + 1 : 2])
+    return DickmanGrid(h, (4.0 * fine - coarse) / 3.0)
+
+
+def dickman_grid(u_max: float, h: float = 0.005) -> DickmanGrid:
+    """Richardson-extrapolated grid (steps h and h/2) of the Dickman function on [0, u_max]."""
+    _check_args("dickman_grid", "u_max", u_max, h, _U_MAX)
+    return _grid(u_max, h)
 
 
 def dickman(u: float, h: float = 0.005) -> float:
     """rho(u) to ~1e-7 for u <= 10 (exact 1 on [0,1])."""
-    if u < 0:
-        raise ValueError(f"dickman requires u >= 0, got {u}")
+    _check_args("dickman", "u", u, h, _U_MAX - 2 * h)
     if u <= 1.0:
         return 1.0
-    g = dickman_grid(u + 2 * h, h)
+    g = _grid(u + 2 * h, h)
     i = int(u / h)
     if abs(i * h - u) < 1e-12:
         return g.at_index(i)
@@ -304,14 +338,13 @@ def dickman(u: float, h: float = 0.005) -> float:
 
 def dickman_mass(u_max: float, h: float = 0.005) -> float:
     """Simpson integral of rho over [0, u_max]; within 1e-3 of e^gamma once u_max >= 15."""
-    g = dickman_grid(u_max, h)
-    v = g.values
+    _check_args("dickman_mass", "u_max", u_max, h, _U_MAX)
+    v = _grid(u_max, h).values
     n = len(v) - 1
+    e = n - n % 2  # composite Simpson on the even prefix, plus one trapezoid panel if n is odd
+    simpson = (v[0] + v[e] + 4 * np.sum(v[1:e:2]) + 2 * np.sum(v[2:e:2])) * h / 3 if e else 0.0
     if n % 2 == 1:
-        # composite Simpson on the even prefix plus one trapezoid panel
-        simpson = (v[0] + v[n - 1] + 4 * np.sum(v[1 : n - 1 : 2]) + 2 * np.sum(v[2 : n - 1 : 2])) * h / 3
         return float(simpson + 0.5 * h * (v[n - 1] + v[n]))
-    simpson = (v[0] + v[n] + 4 * np.sum(v[1:n:2]) + 2 * np.sum(v[2:n:2])) * h / 3
     return float(simpson)
 
 
@@ -386,9 +419,10 @@ def smooth_harmonic_sum(n_primes: int, a: SequenceSpec, C: int) -> SmoothSum:
     ps = first_primes(n_primes)
     F = PrimeSet.of(ps)
     prefactor = math.prod(1.0 - 1.0 / p for p in ps)
-    smooth = smooth_numbers(F, C)
-    total = math.fsum(a.value(m) / m for m in smooth)
-    harmonic_partial = math.fsum(1.0 / m for m in smooth)
+    smooth = smooth_array(F, C)
+    total = math.fsum(a.value(m) / m for m in smooth.tolist())
+    # fsum is correctly rounded, so the order of the terms cannot change it
+    harmonic_partial = math.fsum((1.0 / smooth).tolist())
     full_harmonic = 1.0 / prefactor
     share = prefactor * (full_harmonic - harmonic_partial)
     return SmoothSum(prefactor * total, share)
@@ -420,22 +454,36 @@ def wiener_sum(
     """
     if ell == 0:
         raise ValueError("wiener_sum requires ell != 0")
+    if C < 1:
+        raise ValueError(f"bound must be >= 1, got {C}")
     ps = first_primes(n_primes)
     prefactor = math.prod(1.0 - 1.0 / p for p in ps)
     allowed = PrimeSet.of([p for p in ps if p not in B])
     if callable(nu_hat):
-        lookup = nu_hat
+        terms = ((m, complex(nu_hat(ell * m + k))) for m in smooth_numbers(allowed, C))
     else:
-        table = dict(nu_hat)
-        lookup = lambda j: table.get(j, 0j)  # noqa: E731
+        # the nonzero terms are at the keys j = ell * m + k with m <= C allowed-smooth
+        terms = sorted(
+            ((j - k) // ell, complex(c)) for j, c in nu_hat.items()
+            if (j - k) % ell == 0 and _is_smooth((j - k) // ell, allowed, C)
+        )
     acc = 0j
-    for m in smooth_numbers(allowed, C):
-        c = complex(lookup(ell * m + k))
+    for m, c in terms:
         if c != 0j:
             if abs(c) > 1.0 + 1e-12:
                 raise ValueError(f"|nu_hat({ell * m + k})| = {abs(c)} exceeds 1")
             acc += c / m
     return prefactor * acc
+
+
+def _is_smooth(m: int, F: PrimeSet, C: int) -> bool:
+    """Whether 1 <= m <= C and every prime factor of m lies in F."""
+    if not 1 <= m <= C:
+        return False
+    for p in F:
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 class DeltaEstimate(NamedTuple):
@@ -449,6 +497,7 @@ def delta_estimate(u: float, x: int, n_points: int = 64) -> DeltaEstimate:
 
     s_max is pushed until the integrand drops below 1e-6 or x^s would leave
     the exact counter's desk range (then the result is flagged truncated).
+    Raises :class:`RangeError` when x^u itself exceeds ``PSI_X_LIMIT``.
     """
     if not math.isfinite(u):
         raise ValueError(f"delta_estimate requires a finite u, got {u}")
@@ -456,21 +505,34 @@ def delta_estimate(u: float, x: int, n_points: int = 64) -> DeltaEstimate:
         raise ValueError(f"delta_estimate requires u >= 1, got {u}")
     if x > 1000 or x < 3:
         raise ValueError(f"delta_estimate requires 3 <= x <= 1000, got {x}")
+    # x^u overflows a double only far above the limit, where the log test refuses first
+    if u * math.log(x) > math.log(PSI_X_LIMIT) + 1 or int(x**u) > PSI_X_LIMIT:
+        raise RangeError(
+            f"delta_estimate at u = {u}, x = {x} counts at x^u = 10^{u * math.log10(x):.4g}, "
+            f"beyond the counter's x <= {PSI_X_LIMIT}"
+        )
     log_cap = math.log(_DELTA_CAP) / math.log(x)
     probes = []
     s = u
     while s + 0.25 <= log_cap:
         s += 0.25
         probes.append(s)
+    # one pass counts the probes and the grid that ends at the last probe; a
+    # second is needed only when the integrand drops below 1e-6 before it
+    last = probes[-1] if probes else u
+    grid = np.linspace(u, last, n_points)
+    counts = psi_counts([int(x**s) for s in probes] + [int(x**s) for s in grid], x).tolist()
     s_max = u
     truncated = True
-    for s, count in zip(probes, psi_counts([int(x**s) for s in probes], x).tolist()):
+    for s, count in zip(probes, counts):
         s_max = s
         if count / x**s < 1e-6:
             truncated = False
             break
-    grid = np.linspace(u, s_max, n_points)
-    counts = psi_counts([int(x**s) for s in grid], x).tolist()
+    counts = counts[len(probes) :]
+    if s_max != last:
+        grid = np.linspace(u, s_max, n_points)
+        counts = psi_counts([int(x**s) for s in grid], x).tolist()
     vals = [c / x**s for c, s in zip(counts, grid)]
     integral = sum(
         0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1])

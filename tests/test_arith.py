@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affkms import arith
 from affkms.arith import (
     PrimeSet,
     RangeError,
     divisors,
     factorize,
+    first_primes,
     hurwitz_zeta,
     hurwitz_zeta_bounded,
     is_prime,
@@ -158,6 +160,24 @@ class TestSmoothNumbers:
 
     def test_empty_generating_set(self):
         assert smooth_numbers(PrimeSet.of([]), 100) == [1]
+
+    def test_top_of_the_64_bit_range(self):
+        assert smooth_numbers(PrimeSet.of([2]), 2**63 - 1) == [2**e for e in range(63)]
+        with pytest.raises(RangeError, match=r"requires bound < 2\^63, got 9223372036854775808"):
+            smooth_numbers(PrimeSet.of([2]), 2**63)
+
+    def test_refused_before_the_array_limit(self, monkeypatch):
+        # {2, 3}-smooth up to 6 has 5 members, up to 8 six
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 5 * arith.SMOOTH_BYTES)
+        F = PrimeSet.of([2, 3])
+        assert smooth_numbers(F, 6) == [1, 2, 3, 4, 6]
+        with pytest.raises(RangeError, match="lists more than 6 integers"):
+            smooth_numbers(F, 8)
+
+    def test_huge_monoid_refused_at_once(self):
+        # Psi(10^12, 113) = 125 157 620 integers would need about 6 GB
+        with pytest.raises(RangeError, match=r"^smooth_numbers of 30 primes up to 1000000000000 lists more than"):
+            smooth_numbers(PrimeSet.of(first_primes(30)), 10**12)
 
 
 class TestPartialZeta:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affkms import asymptotics
-from affkms.arith import PrimeSet, RangeError, primes_up_to, smooth_numbers
+from affkms.arith import PrimeSet, RangeError, first_primes, primes_up_to, smooth_numbers
 from affkms.asymptotics import (
     EULER_GAMMA,
     DeltaEstimate,
@@ -102,6 +102,137 @@ def lucy_oracle(x: int, y: int) -> int:
     return x - sum(pi[x // q] - pi_y for q in range(1, x // (y + 1) + 1))
 
 
+# The per-number loops that the vectorised code replaced, kept verbatim as
+# oracles: results must agree bit for bit.
+
+
+def recursive_smooth_numbers(F: PrimeSet, bound: int) -> list[int]:
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    ps = F.primes
+    out: list[int] = []
+
+    def rec(val: int, i: int) -> None:
+        out.append(val)
+        for j in range(i, len(ps)):
+            nxt = val * ps[j]
+            if nxt > bound:
+                if ps[j] > bound // max(val, 1):
+                    break
+                continue
+            rec(nxt, j)
+
+    rec(1, 0)
+    out.sort()
+    return out
+
+
+def fsum_raw_grid(n_steps: int, h: float) -> tuple[float, ...]:
+    M = round(1.0 / h)
+    if abs(M * h - 1.0) > 1e-12:
+        raise ValueError(f"step {h} must divide 1 exactly")
+    rho = [1.0] * (M + 1)
+    for i in range(M + 1, n_steps + 1):
+        u = i * h
+        window = 0.5 * rho[i - M] + math.fsum(rho[i - M + 1 : i])
+        rho.append(h * window / (u - 0.5 * h))
+    return tuple(rho)
+
+
+def fsum_dickman_grid(u_max: float, h: float) -> np.ndarray:
+    n = int(math.ceil(u_max / h - 1e-9))
+    coarse = fsum_raw_grid(n, h)
+    fine = fsum_raw_grid(2 * n, h / 2)
+    return np.array([(4.0 * fine[2 * i] - coarse[i]) / 3.0 for i in range(n + 1)])
+
+
+def fsum_dickman_mass(u_max: float, h: float) -> float:
+    v = fsum_dickman_grid(u_max, h)
+    n = len(v) - 1
+    if n % 2 == 1:
+        simpson = (v[0] + v[n - 1] + 4 * np.sum(v[1 : n - 1 : 2]) + 2 * np.sum(v[2 : n - 1 : 2])) * h / 3
+        return float(simpson + 0.5 * h * (v[n - 1] + v[n]))
+    simpson = (v[0] + v[n] + 4 * np.sum(v[1:n:2]) + 2 * np.sum(v[2:n:2])) * h / 3
+    return float(simpson)
+
+
+def fsum_dickman(u: float, h: float) -> float:
+    if u <= 1.0:
+        return 1.0
+    values = fsum_dickman_grid(u + 2 * h, h)
+    i = int(u / h)
+    if abs(i * h - u) < 1e-12:
+        return float(values[i])
+    i0 = min(max(i - 1, 0), len(values) - 4)
+    xs = np.array([(i0 + j) * h for j in range(4)])
+    ys = values[i0 : i0 + 4]
+    out = 0.0
+    for j in range(4):
+        lj = 1.0
+        for t in range(4):
+            if t != j:
+                lj *= (u - xs[t]) / (xs[j] - xs[t])
+        out += ys[j] * lj
+    return float(out)
+
+
+def listed_smooth_harmonic_sum(n_primes: int, a: SequenceSpec, C: int):
+    ps = first_primes(n_primes)
+    F = PrimeSet.of(ps)
+    prefactor = math.prod(1.0 - 1.0 / p for p in ps)
+    smooth = recursive_smooth_numbers(F, C)
+    total = math.fsum(a.value(m) / m for m in smooth)
+    harmonic_partial = math.fsum(1.0 / m for m in smooth)
+    full_harmonic = 1.0 / prefactor
+    share = prefactor * (full_harmonic - harmonic_partial)
+    return prefactor * total, share
+
+
+def enumerating_wiener_sum(nu_hat, n_primes, B, ell, k, C) -> complex:
+    if ell == 0:
+        raise ValueError("wiener_sum requires ell != 0")
+    ps = first_primes(n_primes)
+    prefactor = math.prod(1.0 - 1.0 / p for p in ps)
+    allowed = PrimeSet.of([p for p in ps if p not in B])
+    if callable(nu_hat):
+        lookup = nu_hat
+    else:
+        table = dict(nu_hat)
+        lookup = lambda j: table.get(j, 0j)  # noqa: E731
+    acc = 0j
+    for m in recursive_smooth_numbers(allowed, C):
+        c = complex(lookup(ell * m + k))
+        if c != 0j:
+            if abs(c) > 1.0 + 1e-12:
+                raise ValueError(f"|nu_hat({ell * m + k})| = {abs(c)} exceeds 1")
+            acc += c / m
+    return prefactor * acc
+
+
+def two_call_delta_estimate(u: float, x: int, n_points: int = 64) -> DeltaEstimate:
+    log_cap = math.log(10**9) / math.log(x)
+    probes = []
+    s = u
+    while s + 0.25 <= log_cap:
+        s += 0.25
+        probes.append(s)
+    s_max = u
+    truncated = True
+    for s, count in zip(probes, psi_counts([int(x**s) for s in probes], x).tolist()):
+        s_max = s
+        if count / x**s < 1e-6:
+            truncated = False
+            break
+    grid = np.linspace(u, s_max, n_points)
+    counts = psi_counts([int(x**s) for s in grid], x).tolist()
+    vals = [c / x**s for c, s in zip(counts, grid)]
+    integral = sum(
+        0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1])
+        for i in range(len(grid) - 1)
+    )
+    return DeltaEstimate(float(integral), s_max, truncated)
+
+
 _SMALL_PRIMES = primes_up_to(3162)  # p^2 <= 10^7
 
 
@@ -155,6 +286,110 @@ class TestPsiAgainstRecursion:
             vals = [recursion_oracle(int(x**s), x) / x**s for s in grid]
             integral = sum(0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1]) for i in range(63))
             assert delta_estimate(u, x) == DeltaEstimate(float(integral), s_max, truncated)
+
+
+_SEQUENCES = [SequenceSpec.const_one(), SequenceSpec.prime_indicator(), SequenceSpec.square_indicator(),
+              SequenceSpec.custom([0.5, 1, 0, 0.25, 1.0, 0.125])]
+
+
+class TestAgainstReplacedLoops:
+    @given(st.lists(st.sampled_from(primes_up_to(200)), max_size=8), st.integers(1, 10**7))
+    @settings(max_examples=150, deadline=None)
+    def test_smooth_numbers_random_sets(self, ps, bound):
+        F = PrimeSet.of(ps)
+        assert smooth_numbers(F, bound) == recursive_smooth_numbers(F, bound)
+
+    @pytest.mark.parametrize("ps, bound", [
+        ([2], 2**63 - 1), ([3, 5, 7], 2**63 - 1), ([2, 3, 5], 10**18), ([], 1), ([2], 1), ([97], 96),
+    ])
+    def test_smooth_numbers_at_the_edges(self, ps, bound):
+        F = PrimeSet.of(ps)
+        assert smooth_numbers(F, bound) == recursive_smooth_numbers(F, bound)
+
+    @pytest.mark.parametrize("n_primes", range(3, 11))
+    @pytest.mark.parametrize("C", [1, 30, 10**4, 10**6, 10**7])
+    def test_smooth_harmonic_sum(self, n_primes, C):
+        for a in _SEQUENCES:
+            got = smooth_harmonic_sum(n_primes, a, C)
+            assert tuple(got) == listed_smooth_harmonic_sum(n_primes, a, C)
+
+    @given(
+        st.dictionaries(st.integers(-300, 3000),
+                        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                        max_size=40),
+        st.integers(3, 10),
+        st.sets(st.sampled_from([2, 3, 5, 7])),
+        st.integers(-6, 6).filter(bool),
+        st.integers(-30, 30),
+        st.integers(1, 5000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wiener_sum_mapping(self, nu_hat, n_primes, B, ell, k, C):
+        B = PrimeSet.of(B)
+        want = enumerating_wiener_sum(nu_hat, n_primes, B, ell, k, C)
+        got = wiener_sum(nu_hat, n_primes, B, ell, k, C)
+        assert (got.real, got.imag) == (want.real, want.imag)
+
+    @pytest.mark.parametrize("ell, k", [(1, 0), (2, 1), (-1, 0), (-3, -2), (5, -7)])
+    def test_wiener_sum_mapping_up_to_ten_million(self, ell, k):
+        # keys reach every smooth m up to C for the small multipliers
+        nu_hat = {j: complex(math.cos(j), math.sin(j)) / 2 for j in range(-120, 121)}
+        nu_hat.update({ell * m + k: 0.25j for m in (2**20, 3**14, 2**10 * 3**6 * 5**2, 10**7)})
+        for n_primes in (3, 6, 10):
+            want = enumerating_wiener_sum(nu_hat, n_primes, PrimeSet.of([]), ell, k, 10**7)
+            assert wiener_sum(nu_hat, n_primes, PrimeSet.of([]), ell, k, 10**7) == want
+
+    def test_wiener_sum_reports_the_first_oversized_term(self):
+        nu_hat = {9: 1.5, 3: 2.0, 4: 0.5}
+        for impl in (wiener_sum, enumerating_wiener_sum):
+            with pytest.raises(ValueError, match=r"\|nu_hat\(3\)\| = 2.0 exceeds 1"):
+                impl(nu_hat, 3, PrimeSet.of([]), 1, 0, 100)
+
+    @pytest.mark.parametrize("n_primes, ell, k", [(3, 1, 0), (8, 2, 1), (10, -1, 3), (6, -2, -5)])
+    def test_wiener_sum_callable(self, n_primes, ell, k):
+        fn = lambda j: complex(math.cos(0.3 * j), math.sin(0.7 * j)) / 2  # noqa: E731
+        for C in (1, 999, 10**5):
+            B = PrimeSet.of([2])
+            assert wiener_sum(fn, n_primes, B, ell, k, C) == enumerating_wiener_sum(fn, n_primes, B, ell, k, C)
+
+    @pytest.mark.parametrize("h", [0.01, 0.005, 0.0025, 0.001])
+    def test_dickman_raw_grid(self, h):
+        n = round(12 / h) if h == 0.001 else round(25 / h)
+        assert asymptotics._raw_grid(n, h) == fsum_raw_grid(n, h)
+
+    @pytest.mark.parametrize("h", [0.01, 0.005])
+    @pytest.mark.parametrize("u_max", [0.0, 0.5, 1.0, 2.0, 7.3, 20.0, 50.0])
+    def test_dickman_grid_and_mass(self, u_max, h):
+        assert np.array_equal(dickman_grid(u_max, h).values, fsum_dickman_grid(u_max, h))
+        if u_max >= 1.0:  # below two steps the old Simpson rule double-counted v[0]
+            assert dickman_mass(u_max, h) == fsum_dickman_mass(u_max, h)
+
+    @pytest.mark.parametrize("h", [0.01, 0.005, 0.001])
+    def test_dickman(self, h):
+        for u in (0.0, 1.0, 1.0001, 1.37, 2.0, 3.14159, 9.99):
+            assert dickman(u, h) == fsum_dickman(u, h)
+
+    @pytest.mark.parametrize("x", [3, 4, 7, 11, 20, 50, 100, 300, 997])
+    @pytest.mark.parametrize("u", [1.0, 1.13, 2.5, 3.3])
+    def test_delta_estimate(self, u, x):
+        assert delta_estimate(u, x) == two_call_delta_estimate(u, x)
+
+    @pytest.mark.parametrize("u, x, calls", [(1.0, 3, 2), (2.5, 4, 2), (2.5, 7, 1), (1.0, 20, 1), (4.5, 100, 1)])
+    def test_delta_estimate_counts_twice_only_after_an_early_break(self, monkeypatch, u, x, calls):
+        seen = []
+
+        def counting(xs, y):
+            seen.append(len(xs))
+            return psi_counts(xs, y)
+
+        monkeypatch.setattr(asymptotics, "psi_counts", counting)
+        est = delta_estimate(u, x)
+        assert len(seen) == calls
+        assert est.truncated == (calls == 1)
+
+    @pytest.mark.parametrize("u, x", [(4.5, 100), (9.0, 20), (6.0, 100)])
+    def test_delta_estimate_without_probes(self, u, x):
+        assert delta_estimate(u, x) == two_call_delta_estimate(u, x)
 
 
 class TestPsiCount:
@@ -259,6 +494,26 @@ class TestDickman:
         with pytest.raises(ValueError):
             dickman(2.0, h=0.02)
 
+    @pytest.mark.parametrize("fn, arg", [(dickman, "u"), (dickman_grid, "u_max"), (dickman_mass, "u_max")])
+    def test_input_guards_name_the_argument(self, fn, arg):
+        name = fn.__name__
+        for h in (0.0, -0.005, math.nan):
+            with pytest.raises(ValueError, match=rf"^{name} requires a step h > 0, got {h}$"):
+                fn(2.0, h)
+        for u in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^{name} requires a finite {arg}, got {u}$"):
+                fn(u)
+        with pytest.raises(ValueError, match=rf"^{name} requires {arg} >= 0, got -1.0$"):
+            fn(-1.0)
+        with pytest.raises(ValueError, match=rf"^{arg} must be <= "):
+            fn(60.0)
+
+    def test_top_of_the_range(self):
+        assert dickman(50.0 - 2 * 0.005) > 0
+        with pytest.raises(ValueError, match=r"^u must be <= 49.99 at step h = 0.005, got 49.995$"):
+            dickman(49.995)
+        assert dickman_grid(50.0).values.size == 10_001
+
 
 class TestDickmanMass:
     def test_unit_interval_exact(self):
@@ -271,6 +526,13 @@ class TestDickmanMass:
 
     def test_total_mass(self):
         assert abs(dickman_mass(20.0, 0.005) - math.exp(EULER_GAMMA)) <= 1e-3
+
+    def test_fewer_than_two_steps(self):
+        # rho = 1 on [0, 1]: no step integrates to 0 and one step to h
+        assert dickman_mass(0.0) == 0.0
+        assert dickman_mass(0.005) == 0.005
+        assert dickman_mass(0.003) == 0.005
+        assert dickman_mass(0.01) == pytest.approx(0.01, abs=1e-15)
 
 
 class TestMertens:
@@ -362,6 +624,15 @@ class TestDeltaEstimate:
         for u in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite u"):
                 delta_estimate(u, 100)
+
+    def test_beyond_the_counter_refused(self):
+        with pytest.raises(RangeError, match=r"^delta_estimate at u = 9.0, x = 50 counts at x\^u = 10\^15.29, "
+                           r"beyond the counter's x <= 1000000000000$"):
+            delta_estimate(9.0, 50)
+        for u in (7.0001, 1e6, 1e300):  # 1000^1e6 overflows a double
+            with pytest.raises(RangeError, match="beyond the counter"):
+                delta_estimate(u, 1000)
+        assert delta_estimate(6.0, 100).truncated  # x^u = 10^12 is admitted
 
     def test_large_u_collapses(self):
         est = delta_estimate(4.5, 100)

@@ -348,6 +348,32 @@ class TestAsymptoticsCommands:
         assert out == ""
         assert err == f"error: delta_estimate requires a finite u, got {u}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        ("dickman-mass --u-max 20 --h 0", "dickman_mass requires a step h > 0, got 0.0"),
+        ("dickman --u 2 --h 0", "dickman requires a step h > 0, got 0.0"),
+        ("dickman --u 2 --h -0.005", "dickman requires a step h > 0, got -0.005"),
+        ("dickman-mass --h -0.005", "dickman_mass requires a step h > 0, got -0.005"),
+        ("dickman --u nan", "dickman requires a finite u, got nan"),
+        ("dickman-mass --u-max inf", "dickman_mass requires a finite u_max, got inf"),
+        ("dickman --u 60", "u must be <= 49.99 at step h = 0.005, got 60.0"),
+        ("dickman-mass --u-max -1", "dickman_mass requires u_max >= 0, got -1.0"),
+        ("delta-estimate --u 9.0 --x 50",
+         "delta_estimate at u = 9.0, x = 50 counts at x^u = 10^15.29, beyond the counter's x <= 1000000000000"),
+        ("smooth-sum --n-primes 3 --c 9223372036854775808",
+         "smooth_numbers requires bound < 2^63, got 9223372036854775808"),
+    ])
+    def test_bad_input_exits_1_with_one_line(self, run, argv, message):
+        code, out, err = run(*argv.split())
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_huge_smooth_monoid_refused_at_once(self, run):
+        code, out, err = run("smooth-sum", "--n-primes", "30", "--c", "1000000000000")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: smooth_numbers of 30 primes up to 1000000000000 lists more than ")
+        assert err.endswith("over the 128 MiB limit\n")
+
     def test_psi_working_set_refused(self, run, monkeypatch):
         monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
         code, out, err = run("psi-count", "--x", "1000000000", "--y", "997")
