@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from math import cos, frexp, fsum, gcd, isfinite, lcm, pi, sin
+from math import cos, fsum, gcd, isfinite, lcm, pi, sin
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -239,9 +239,7 @@ def apply_A_inv(
     _charge(f"apply_A_inv at level K = {K}", K * (ATOM_BYTES + 64))
     factors = [(p, float(p) ** -beta) for p in PrimeSet.dividing(n)]
     rhs = _level_vector(nu, K)[None]
-    # scaled by a power of two (exact) so that subnormal weights keep their precision
-    e = frexp(float(np.max(np.abs(rhs))))[1]
-    mu, tmp = np.ldexp(rhs, -e), np.empty_like(rhs)
+    mu, tmp = rhs.copy(), np.empty_like(rhs)
     for p, c in factors:
         if c == 1.0:
             raise ValueError(f"apply_A_inv: {p}^-beta rounds to 1 at beta = {beta}")
@@ -251,7 +249,6 @@ def apply_A_inv(
             tmp *= c
             mu += tmp
             c, d = c * c, d * d % K
-    mu = np.ldexp(mu, e)
     res = mu.copy()
     for p, c in factors:
         _push(res, p, tmp)
