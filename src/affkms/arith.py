@@ -23,10 +23,15 @@ INT64_MAX = 2**63 - 1
 _SIEVE_LIMIT = 10**6
 
 # bytes of the largest working set a kernel may allocate: the 2^m x K
-# verifier frontier, the atoms and level-K vectors of apply_A_inv, the atoms
-# of epsilon and extremal_measure, the Psi engine's node arrays and the Psi
-# sieve table
+# verifier frontier, the level-K vectors of the measure operators, the atoms
+# of epsilon and extremal_measure, the class sums of residue_weights, the Psi
+# engine's node arrays and the Psi sieve table
 ARRAY_BYTES_LIMIT = 128 * 2**20
+
+# bytes one residue class costs in residue_weights: its Python float and its
+# list slot.  tracemalloc's peak per class was 32.0-32.5 B for q from 10^4 to
+# 4 * 10^5.
+RESIDUE_BYTES = 33
 
 # bytes one member of a smooth monoid costs once listed: its int64 slot, its
 # Python int and its list slot.  tracemalloc's peak per member was 47.9-48.0 B
@@ -39,6 +44,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class RangeError(ValueError):
     """An operation left the supported 64-bit / desk-scale range."""
+
+
+def charge(what: str, size: int) -> None:
+    """Raise :class:`RangeError` when size bytes exceed ``ARRAY_BYTES_LIMIT``."""
+    if size > ARRAY_BYTES_LIMIT:
+        raise RangeError(
+            f"{what} needs {size / 2**20:.0f} MiB, "
+            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
+        )
 
 
 def checked_mul(a: int, b: int) -> int:
@@ -346,9 +360,12 @@ def residue_weights(q: int, beta: float) -> tuple[list[float], float]:
 
     w[r] = q^-beta zeta(beta, r/q), with a = 1 for the class r = 0, so that
     sum(w) = zeta(beta).  The second value bounds sum_r |w[r] - exact w[r]|.
+    Raises :class:`RangeError` before the first Hurwitz call when the q class
+    sums would exceed ``ARRAY_BYTES_LIMIT`` bytes.
     """
     if q < 1:
         raise ValueError(f"residue_weights requires q >= 1, got {q}")
+    charge(f"residue_weights over q = {q} classes", q * RESIDUE_BYTES)
     scale = float(q) ** -beta
     weights = []
     err = 0.0

@@ -26,15 +26,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .arith import (
-    ARRAY_BYTES_LIMIT,
     PrimeSet,
-    RangeError,
+    charge,
     divisors,
     factorize,
     mobius,
     primes_up_to,
     residue_weights,
-    squarefree_products,
     totient,
     totient_beta,
     zeta,
@@ -46,14 +44,15 @@ from .arith import (
 # epsilon(n) at n from 5*10^4 to 4.5*10^5, where the guards below bite.
 ATOM_BYTES = 288
 
-
-def _charge(what: str, size: int) -> None:
-    """Raise :class:`RangeError` when size bytes exceed ``ARRAY_BYTES_LIMIT``."""
-    if size > ARRAY_BYTES_LIMIT:
-        raise RangeError(
-            f"{what} needs {size / 2**20:.0f} MiB, "
-            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-        )
+# pushforward, apply_A and t_beta refuse with RangeError, before allocating,
+# what would exceed ARRAY_BYTES_LIMIT: per root, the first two hold three
+# level-K vectors (input, output, the push's int64 column index) and t_beta
+# five; per term, t_beta folds the series with three length-C vectors.
+# tracemalloc's peaks were 24.0, 40.0 and 24.0 B at K from 10^5 to 1.3 * 10^6
+# and C from 10^5 to 3 * 10^6.
+PUSH_BYTES = 24
+T_BETA_ROOT_BYTES = 40
+T_BETA_TERM_BYTES = 24
 
 
 @dataclass(frozen=True, order=True)
@@ -111,6 +110,8 @@ class AtomicMeasure:
         object.__setattr__(self, "_atoms", acc)
         object.__setattr__(self, "signed", signed)
         if level is not None:
+            if level < 1:
+                raise ValueError(f"level must be >= 1, got {level}")
             bad = [z for z in acc if level % z.den != 0]
             if bad:
                 raise ValueError(f"atoms {bad} do not live on the level-{level} roots")
@@ -180,14 +181,14 @@ def max_atom_diff(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def pushforward(nu: AtomicMeasure, d: int) -> AtomicMeasure:
-    """Image of nu under z -> z^d; mass is preserved exactly up to roundoff."""
+    """Image of nu under z -> z^d: one push on the K-th roots, K the support level."""
     if d < 1:
         raise ValueError(f"pushforward requires d >= 1, got {d}")
-    acc: dict[RootOfUnity, float] = {}
-    for z, w in nu.atoms().items():
-        t = z.pow(d)
-        acc[t] = acc.get(t, 0.0) + w
-    return AtomicMeasure(acc, signed=nu.signed)
+    K = nu.support_level()
+    charge(f"pushforward at level K = {K}", K * PUSH_BYTES)
+    out = np.empty((1, K))
+    _push(_level_vector(nu, K)[None], d, out)
+    return _from_level_vector(out[0], K, nu.signed)
 
 
 def epsilon(n: int) -> AtomicMeasure:
@@ -195,19 +196,18 @@ def epsilon(n: int) -> AtomicMeasure:
     if n < 1:
         raise ValueError(f"epsilon requires n >= 1, got {n}")
     phi = totient(n)
-    _charge(f"epsilon({n}) with {phi} atoms", phi * ATOM_BYTES)
+    charge(f"epsilon({n}) with {phi} atoms", phi * ATOM_BYTES)
     w = 1.0 / phi
     return AtomicMeasure({RootOfUnity(j, n): w for j in range(n) if gcd(j, n) == 1})
 
 
 def apply_A(nu: AtomicMeasure, n: int, beta: float) -> AtomicMeasure:
-    """A_{beta,n} nu = sum_{d|n} mu(d) d^-beta omega_d* nu (a signed measure)."""
-    acc: dict[RootOfUnity, float] = {}
-    for d in squarefree_products(PrimeSet.dividing(n)):
-        c = mobius(d) * float(d) ** -beta
-        for z, w in pushforward(nu, d).atoms().items():
-            acc[z] = acc.get(z, 0.0) + c * w
-    return AtomicMeasure(acc, signed=True)
+    """A_{beta,n} nu = sum_{d|n} mu(d) d^-beta omega_d* nu (signed), on the K-th roots."""
+    K = nu.support_level()
+    charge(f"apply_A at level K = {K}", K * PUSH_BYTES)
+    vec = _level_vector(nu, K)[None]
+    _apply_A_rows(vec, n, beta, np.empty_like(vec))
+    return _from_level_vector(vec[0], K, signed=True)
 
 
 def apply_A_inv(
@@ -236,7 +236,7 @@ def apply_A_inv(
     K = level if level is not None else nu.support_level()
     # besides the atoms: four float64 vectors and the K Python floats the atoms
     # are read from, 32 B per root each (tracemalloc's peak: 64 B per root)
-    _charge(f"apply_A_inv at level K = {K}", K * (ATOM_BYTES + 64))
+    charge(f"apply_A_inv at level K = {K}", K * (ATOM_BYTES + 64))
     factors = [(p, float(p) ** -beta) for p in PrimeSet.dividing(n)]
     rhs = _level_vector(nu, K)[None]
     mu, tmp = rhs.copy(), np.empty_like(rhs)
@@ -250,18 +250,19 @@ def apply_A_inv(
             mu += tmp
             c, d = c * c, d * d % K
     res = mu.copy()
-    for p, c in factors:
-        _push(res, p, tmp)
-        tmp *= c
-        res -= tmp
+    _apply_A_rows(res, n, beta, tmp)
     res -= rhs
     residual = float(np.max(np.abs(res)))
     if residual > 1e-9:
         raise RuntimeError(f"A_inv solve residual {residual:.2e} exceeds 1e-9")
-    return AtomicMeasure(
-        {root(j, K): w for j, w in enumerate(mu[0].tolist()) if w != 0.0},
-        signed=nu.signed,
-    )
+    return _from_level_vector(mu[0], K, nu.signed)
+
+
+def _apply_A_rows(rows: np.ndarray, n: int, beta: float, tmp: np.ndarray) -> None:
+    """rows <- A_{beta,n} rows = prod_{p|n} (I - p^-beta P_p) rows in place; tmp is scratch."""
+    for p in PrimeSet.dividing(n):
+        _push(rows, p, tmp)
+        rows -= np.multiply(tmp, float(p) ** -beta, out=tmp)
 
 
 def _level_vector(nu: AtomicMeasure, K: int) -> np.ndarray:
@@ -272,6 +273,14 @@ def _level_vector(nu: AtomicMeasure, K: int) -> np.ndarray:
             raise ValueError(f"atom {z} is not supported on the level-{K} roots")
         vec[z.num * (K // z.den)] = w
     return vec
+
+
+def _from_level_vector(vec: np.ndarray, K: int, signed: bool) -> AtomicMeasure:
+    """The measure with weight vec[j] on the root j/K; its atoms are charged first."""
+    js = np.flatnonzero(vec)
+    charge(f"a measure of {len(js)} atoms", len(js) * ATOM_BYTES)
+    atoms = zip(js.tolist(), vec[js].tolist())
+    return AtomicMeasure({root(j, K): w for j, w in atoms}, signed=signed)
 
 
 def _push(src: np.ndarray, d: int, out: np.ndarray) -> None:
@@ -285,7 +294,10 @@ def _push(src: np.ndarray, d: int, out: np.ndarray) -> None:
     rows, K = src.shape
     g = gcd(d, K)
     Kp = K // g
-    cols = g * (np.arange(Kp) * (d // g % Kp) % Kp)
+    cols = np.arange(Kp)
+    cols *= d // g % Kp
+    cols %= Kp
+    cols *= g
     if g == 1:
         out[:, cols] = src
     else:
@@ -345,7 +357,7 @@ def check_subconformal(
     window = [p for p in primes_up_to(extra_prime_bound) if K % p != 0]
     ps = sorted(support_ps + window)
     m = len(ps)
-    _charge(
+    charge(
         f"check_subconformal over m = {m} primes at level K = {K} with a 2^{m} x {K} frontier",
         8 * K << m,
     )
@@ -388,7 +400,7 @@ def extremal_measure(n: int, beta: float) -> AtomicMeasure:
     """
     if n < 1:
         raise ValueError(f"extremal_measure requires n >= 1, got {n}")
-    _charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_BYTES)
+    charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_BYTES)
     scale = float(n) ** -beta
     acc: dict[RootOfUnity, float] = {}
     for d in divisors(n):
@@ -441,10 +453,21 @@ def decompose(nu: AtomicMeasure, beta: float, tol: float = 1e-9) -> dict[int, fl
         raise ValueError("decompose requires a non-negative measure")
     L = nu.support_level()
     primitive_mass: dict[int, float] = {}
+    by_order: dict[int, list[RootOfUnity]] = {}
     for z, w in nu.atoms().items():
         primitive_mass[z.den] = primitive_mass.get(z.den, 0.0) + w
+        by_order.setdefault(z.den, []).append(z)
     shares = {d: m / totient(d) for d, m in primitive_mass.items()}
-    deviations = [(abs(nu.weight(z) - s), z) for d, s in shares.items() for z in epsilon(d).atoms()]
+    # orders in order of first appearance, roots by numerator; an absent root
+    # deviates by the whole share, so only the first absent one can be the witness
+    deviations = []
+    for d, zs in by_order.items():
+        devs = [(z.num, abs(nu.weight(z) - shares[d])) for z in zs]
+        if len(zs) < totient(d):
+            nums = {z.num for z in zs}
+            absent = next(j for j in range(d) if gcd(j, d) == 1 and j not in nums)
+            devs.append((absent, abs(shares[d])))
+        deviations += [(dev, RootOfUnity(j, d)) for j, dev in sorted(devs)]
     dev, z = max(deviations, key=lambda t: t[0], default=(0.0, ONE))
     if dev > tol:
         raise NotOrbitInvariantError(z, nu.weight(z), shares[z.den])
@@ -477,22 +500,20 @@ def t_beta(nu: AtomicMeasure, beta: float, C: int) -> tuple[AtomicMeasure, float
     if C < 1:
         raise ValueError(f"truncation bound must be >= 1, got {C}")
     K = nu.support_level()
+    charge(f"t_beta with C = {C} terms at level K = {K}",
+           C * T_BETA_TERM_BYTES + K * T_BETA_ROOT_BYTES)
     z_full = zeta(beta)
-    cs = np.arange(1, C + 1, dtype=np.float64)
-    vals = cs**-beta
+    vals = np.arange(1, C + 1, dtype=np.float64) ** -beta
     partial = float(np.sum(vals))
-    # z^c depends on c only through c mod K; fold exponent 0 onto K
-    residues = (np.arange(1, C + 1) - 1) % K + 1
-    by_res = np.bincount(residues, weights=vals, minlength=K + 1)
-    acc: dict[RootOfUnity, float] = {}
-    for r in range(1, K + 1):
-        wr = float(by_res[r]) / z_full
-        if wr == 0.0:
-            continue
-        for z, w in pushforward(nu, r).atoms().items():
-            acc[z] = acc.get(z, 0.0) + wr * w
-    tail = (z_full - partial) / z_full
-    return AtomicMeasure(acc, signed=nu.signed), tail
+    # z^c depends on c only through c mod K: w[r] collects the c = r (mod K)
+    w = np.bincount(np.arange(1, C + 1) % K, weights=vals, minlength=K) / z_full
+    # sum_r w[r] P_r v = sum_j v[j] P_j w: push the fuller one by the other's indices
+    v, w = sorted((_level_vector(nu, K), w), key=np.count_nonzero, reverse=True)
+    image, tmp = np.zeros((1, K)), np.empty((1, K))
+    for r in np.flatnonzero(w).tolist():
+        _push(v[None], r, tmp)
+        image += np.multiply(tmp, w[r], out=tmp)
+    return _from_level_vector(image[0], K, nu.signed), (z_full - partial) / z_full
 
 
 def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
@@ -502,6 +523,7 @@ def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
     """
     if beta <= 1:
         raise ValueError(f"t_beta_exact_root requires beta > 1, got {beta}")
+    charge(f"t_beta_exact_root at order {z.den}", z.den * ATOM_BYTES)
     weights, _ = residue_weights(z.den, beta)
     total = fsum(weights)
     return AtomicMeasure({z.pow(r): w / total for r, w in enumerate(weights)})

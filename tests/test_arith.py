@@ -316,6 +316,16 @@ class TestResidueWeights:
             lo, hi = head + last**-2.0 / 10, head + (last - 5) ** -2.0 / 10
             assert lo - 1e-15 <= weights[r] <= hi + 1e-15
 
+    def test_huge_modulus_refused_before_the_first_hurwitz_call(self):
+        with pytest.raises(RangeError, match=r"q = 999999937 classes needs 31471 MiB, over the 128"):
+            residue_weights(999999937, 2.0)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 100 * arith.RESIDUE_BYTES)
+        assert len(residue_weights(100, 2.0)[0]) == 100
+        with pytest.raises(RangeError, match=r"q = 101 classes"):
+            residue_weights(101, 2.0)
+
 
 class TestConcurrency:
     def test_parallel_factorize_consistent(self):

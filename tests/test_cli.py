@@ -8,12 +8,15 @@ from affkms import asymptotics, cli
 from affkms.cli import main
 from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
 
-# measure files that the parser must refuse: non-finite weights, non-integer fields
+# measure files that the parser must refuse: non-finite weights, non-integer fields,
+# levels below 1
 MALFORMED_MEASURES = {
     "nan-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": NaN}]}',
     "infinite-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": Infinity}]}',
     "float-level": '{"level": 6.0, "atoms": [{"num": 1, "den": 2, "weight": 1.0}]}',
     "float-root": '{"atoms": [{"num": 1.7, "den": 2.2, "weight": 1.0}]}',
+    "zero-level": '{"level": 0, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
+    "negative-level": '{"level": -6, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
 }
 
 
@@ -173,6 +176,45 @@ class TestSubconformalCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "m = 25" in err and "K = 6" in err and "1536 MiB" in err
+
+
+class TestOversizedInputsRefused:
+    """Level-K vectors, series and class sums over 128 MiB exit 1 with one line, at once."""
+
+    # half a point mass on two roots of prime orders near 10^6: support level about 10^12
+    HUGE = AtomicMeasure({root(1, 999983): 0.5, root(1, 1000003): 0.5})
+
+    def assert_refused(self, result, what):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {what} needs")
+
+    @pytest.mark.parametrize("argv, what", [
+        (("t-beta", "--beta", "2"), "t_beta with C = 100000 terms at level K = 999985999949"),
+        (("pushforward", "--d", "3"), "pushforward at level K = 999985999949"),
+    ])
+    def test_huge_level_measure(self, run, measure_file, argv, what):
+        self.assert_refused(run(*argv, "--measure", measure_file(self.HUGE)), what)
+
+    def test_huge_level_measure_is_not_orbit_invariant(self, run, measure_file):
+        code, out, err = run("decompose", "--beta", "0.7", "--measure", measure_file(self.HUGE))
+        assert code == 2
+        assert json.loads(out)["witness_atom"] == "1/1000003"
+        assert err.startswith("violation: not subconformal")
+
+    def test_series_of_ten_billion_terms(self, run, measure_file):
+        result = run("t-beta", "--beta", "2", "--truncation", "10000000000",
+                     "--measure", measure_file(dirac(root(1, 2))))
+        self.assert_refused(result, "t_beta with C = 10000000000 terms at level K = 2")
+
+    def test_class_sums_of_a_huge_order(self, run):
+        result = run("eval-state", "--state", "quotient-char:n=999999937,zeta=1/999999937,beta=2",
+                     "--monomial", "1,1,1")
+        self.assert_refused(result, "residue_weights over q = 999999937 classes")
+
+    def test_limit_beta1_at_a_huge_order(self, run):
+        self.assert_refused(run("limit-beta1", "--z", "1/999999937"),
+                            "limit_beta1 at order 999999937")
 
 
 class TestMeasureCommands:

@@ -7,10 +7,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkms import measures
+from affkms import arith, measures
 from affkms.arith import (
     ARRAY_BYTES_LIMIT,
     PrimeSet,
@@ -26,6 +26,9 @@ from affkms.arith import (
 )
 from affkms.measures import (
     ATOM_BYTES,
+    PUSH_BYTES,
+    T_BETA_ROOT_BYTES,
+    T_BETA_TERM_BYTES,
     ONE,
     AtomicMeasure,
     NotOrbitInvariantError,
@@ -50,6 +53,48 @@ from affkms.measures import (
     t_beta_exact_root,
     tv_distance,
 )
+
+
+# --- the dict kernels that measures._push replaced, kept as oracles ---------
+
+
+def dict_pushforward(nu, d):
+    """Image of nu under z -> z^d, one RootOfUnity.pow per atom."""
+    acc: dict[RootOfUnity, float] = {}
+    for z, w in nu.atoms().items():
+        t = z.pow(d)
+        acc[t] = acc.get(t, 0.0) + w
+    return AtomicMeasure(acc, signed=nu.signed)
+
+
+def mobius_apply_A(nu, n, beta):
+    """A_{beta,n} nu as the Moebius sum of 2^omega(n) dict pushforwards."""
+    acc: dict[RootOfUnity, float] = {}
+    for d in squarefree_products(PrimeSet.dividing(n)):
+        c = mobius(d) * float(d) ** -beta
+        for z, w in dict_pushforward(nu, d).atoms().items():
+            acc[z] = acc.get(z, 0.0) + c * w
+    return AtomicMeasure(acc, signed=True)
+
+
+def dict_t_beta(nu, beta, C):
+    """T_beta truncated at C: one dict pushforward per residue class mod K."""
+    K = nu.support_level()
+    z_full = zeta(beta)
+    vals = np.arange(1, C + 1, dtype=np.float64) ** -beta
+    partial = float(np.sum(vals))
+    # z^c depends on c only through c mod K; fold exponent 0 onto K
+    residues = (np.arange(1, C + 1) - 1) % K + 1
+    by_res = np.bincount(residues, weights=vals, minlength=K + 1)
+    acc: dict[RootOfUnity, float] = {}
+    for r in range(1, K + 1):
+        wr = float(by_res[r]) / z_full
+        if wr == 0.0:
+            continue
+        for z, w in dict_pushforward(nu, r).atoms().items():
+            acc[z] = acc.get(z, 0.0) + wr * w
+    tail = (z_full - partial) / z_full
+    return AtomicMeasure(acc, signed=nu.signed), tail
 
 
 def rand_signed_measure(rng, level=24, n_atoms=6):
@@ -205,13 +250,91 @@ def dense_A_inv(nu, n, beta, K):
     return np.linalg.solve(M, rhs)
 
 
+def solve_factor_exactly(x, p, c, K):
+    """The mu with mu = x + c P mu, P the push j -> j p mod K, in exact rationals.
+
+    The nodes off the cycles of j -> j p are settled leaves first.  On a cycle
+    k_0 -> k_1 -> ... -> k_(L-1) -> k_0 with y the value fed in from off it,
+    mu(k_i) = y(k_i) + c mu(k_(i-1)), so mu(k_0) = sum_t c^t y(k_-t) / (1 - c^L).
+    """
+    f = [j * p % K for j in range(K)]
+    indegree = [0] * K
+    for k in f:
+        indegree[k] += 1
+    fed = [Fraction(0)] * K
+    mu: list[Fraction | None] = [None] * K
+    leaves = [j for j in range(K) if indegree[j] == 0]
+    while leaves:
+        j = leaves.pop()
+        mu[j] = x[j] + c * fed[j]
+        k = f[j]
+        fed[k] += mu[j]
+        indegree[k] -= 1
+        if indegree[k] == 0:
+            leaves.append(k)
+    for k0 in range(K):
+        if mu[k0] is not None:
+            continue
+        cycle = [k0]
+        while f[cycle[-1]] != k0:
+            cycle.append(f[cycle[-1]])
+        y = [x[k] + c * fed[k] for k in cycle]
+        h = Fraction(0)
+        for v in y[1:]:
+            h = v + c * h
+        m = (y[0] + c * h) / (1 - c ** len(cycle))
+        for k, v in zip(cycle, y):
+            if k != k0:
+                m = v + c * m
+            mu[k] = m
+    return mu
+
+
+def exact_A_inv(nu, n, beta, K):
+    """A_{beta,n}^-1 nu on the K-th roots in exact rationals: the float weights of nu and
+    the floats p^-beta as Fractions, one factor (I - p^-beta P_p) at a time."""
+    mu = [Fraction(w) for w in measures._level_vector(nu, K).tolist()]
+    for p in PrimeSet.dividing(n):
+        mu = solve_factor_exactly(mu, p, Fraction(float(p) ** -beta), K)
+    return mu
+
+
+def inverse_rounding_allowance(nu, n, beta, K):
+    """A bound on |apply_A_inv(nu) - exact_A_inv(nu)| in every atom, as a Fraction.
+
+    Every intermediate of apply_A_inv is a positive combination of pushes of nu
+    whose coefficients sum to at most G = prod_p 1/(1 - c_p), so it weighs at
+    most M = G |nu|_1 and each rounding errs by at most half a spacing ulp(M).
+    Per root and Neumann step a push's sums, the product and the addition round;
+    below 2^-1021 sums of multiples of 2^-1074 are exact and only the product
+    does.  Later steps grow an error by at most G in l1.  Each squared
+    coefficient c^(2^i) is off by at most 2^i 2^-53 of itself, and
+    sum_i 2^i c^(2^i) <= 2 / (1 - c); the dropped tail of each factor weighs at
+    most 2^-60 M.
+    """
+    cs = [float(p) ** -beta for p in PrimeSet.dividing(n)]
+    G = math.prod(Fraction(1) / (1 - Fraction(c)) for c in cs)
+    M = G * sum(Fraction(abs(w)) for w in nu.atoms().values())
+    steps = 0
+    for c in cs:
+        stop = 2.0**-60 * (1.0 - c)
+        while c > stop:
+            steps += 1
+            c *= c
+    per_root = 1 if M < Fraction(2) ** -1021 else 3
+    half_ulp = Fraction(math.ulp(float(M) * (1 + 2**-40))) / 2
+    coefficients = sum(Fraction(2) ** -52 / (1 - Fraction(c)) for c in cs) * M
+    tail = len(cs) * Fraction(2) ** -60 * M
+    return G * (steps * K * per_root * half_ulp + coefficients + tail)
+
+
 def normalized_inverse(n, beta):
     scale = math.prod(1 - p**-beta for p in PrimeSet.dividing(n))
     return apply_A_inv(epsilon(n), n, beta, level=n).scaled(scale)
 
 
 class TestPushKernel:
-    """measures._push on level-K arrays against the dict pushforward."""
+    """measures._push on level-K arrays against the dict pushforward oracle."""
 
     @pytest.mark.parametrize("K", [1, 12, 30, 97, 360])
     def test_matches_dict_pushforward(self, K):
@@ -222,7 +345,7 @@ class TestPushKernel:
         for d in {K, 2 * K + 1, 5 * K + 7, *divisors(K), *gcd_between[:6]}:
             out = np.full_like(src, np.nan)
             measures._push(src, d, out)
-            want = measures._level_vector(pushforward(nu, d), K)
+            want = measures._level_vector(dict_pushforward(nu, d), K)
             assert np.max(np.abs(out[0] - want)) <= 1e-15 * K
 
     def test_exponent_zero_sends_everything_to_one(self):
@@ -231,6 +354,151 @@ class TestPushKernel:
         measures._push(src, 0, out)
         assert out[:, 0].tolist() == [66.0, 210.0]
         assert not out[:, 1:].any()
+
+
+LEVELS = st.one_of(st.integers(1, 720), st.sampled_from(primes_up_to(720)))
+
+
+@st.composite
+def sparse_measures(draw, K):
+    """Up to 8 atoms on the K-th roots, signed or not, with or without a declared level K."""
+    signed = draw(st.booleans())
+    js = draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=8, unique=True))
+    ws = draw(st.lists(st.floats(-1.0 if signed else 0.0, 1.0), min_size=len(js),
+                       max_size=len(js)))
+    level = draw(st.sampled_from([K, None]))
+    return AtomicMeasure({root(j, K): w for j, w in zip(js, ws)}, signed=signed, level=level)
+
+
+def l1(nu):
+    return sum(abs(w) for w in nu.atoms().values())
+
+
+def assert_atoms_agree(got, want, nu, products, terms=0):
+    """Every atom within 1e-15 |nu|_1, or terms * 2^-53 |nu|_1 where an atom gathers so
+    many terms that their roundings can add up to more.
+
+    A product that lands below the normal range is rounded to a multiple of
+    2^-1074, an absolute error of up to 2^-1075 that no relative bound covers;
+    products counts such roundings (both routes) that can reach one atom.
+    Sums of such multiples stay exact below 2^-1021.
+    """
+    rel = max(1e-15, terms * 2.0**-53)
+    assert max_atom_diff(got, want) <= rel * l1(nu) + (products + 1) // 2 * 2.0**-1074
+
+
+class TestKernelsAgainstDictOracles:
+    """pushforward, apply_A and t_beta on the push kernel against the dict kernels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(LEVELS, st.data())
+    def test_pushforward(self, K, data):
+        nu = data.draw(sparse_measures(K))
+        d = data.draw(st.integers(1, 2 * K))
+        got = pushforward(nu, d)
+        assert got.signed == nu.signed
+        assert_atoms_agree(got, dict_pushforward(nu, d), nu, products=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LEVELS, st.floats(0.05, 2.0), st.data())
+    def test_apply_A(self, K, beta, data):
+        nu = data.draw(sparse_measures(K))
+        n = data.draw(st.sampled_from(divisors(K)))
+        got = apply_A(nu, n, beta)
+        assert got.signed
+        # the Moebius sum rounds 2^omega products per atom; each of the omega factors
+        # rounds K, and the later factors (l1 norm at most 2) spread them over the atoms
+        omega = len(PrimeSet.dividing(n))
+        products = 2**omega * (len(nu) + omega * K)
+        assert_atoms_agree(got, mobius_apply_A(nu, n, beta), nu, products)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LEVELS, st.floats(1.05, 3.0), st.integers(1, 2000), st.data())
+    def test_t_beta(self, K, beta, C, data):
+        nu = data.draw(sparse_measures(K))
+        got, tail = t_beta(nu, beta, C)
+        want, want_tail = dict_t_beta(nu, beta, C)
+        assert tail == want_tail
+        assert got.signed == nu.signed
+        # one atom gathers up to K class sums: the dict route adds them one by one,
+        # (K - 1) roundings of at most 2^-53 |nu|_1 each, and the push route sums a
+        # push's g <= K entries and then at most 8 pushes
+        assert_atoms_agree(got, want, nu, products=2 * K, terms=2 * K + 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LEVELS, st.floats(0.3, 2.0), st.data())
+    def test_inverse_round_trip_through_the_moebius_sum(self, K, beta, data):
+        # A(A^-1 nu) = nu with the Moebius oracle, apart from the residual check's own pushes;
+        # the inverse weighs at most prod 1/(1 - c_p) |nu|_1, each A at most prod (1 + c_p).
+        # Below the normal range each root rounds once in each of the at most 8 Neumann
+        # steps per prime (beta >= 0.3) and each of the 2^omega Moebius terms.
+        nu = data.draw(sparse_measures(K))
+        n = data.draw(st.sampled_from(divisors(K)))
+        cs = [p**-beta for p in PrimeSet.dividing(n)]
+        growth = math.prod((1 + c) / (1 - c) for c in cs)
+        products = math.ceil(K * (8 * len(cs) + 2 ** len(cs)) * growth)
+        back = mobius_apply_A(apply_A_inv(nu, n, beta, level=K), n, beta)
+        assert max_atom_diff(back, nu) <= 1e-13 * growth * l1(nu) + products * 2.0**-1074
+
+    def test_sparse_input_at_a_prime_level_with_all_classes(self):
+        # one atom at level 997 and C >= K: the image is spread over all 997 roots
+        nu = AtomicMeasure({root(5, 997): 1.0})
+        got, tail = t_beta(nu, 2.0, 5000)
+        want, want_tail = dict_t_beta(nu, 2.0, 5000)
+        assert len(got) == len(want) == 997
+        assert tail == want_tail
+        assert max_atom_diff(got, want) <= 1e-16
+
+
+class TestLevelGuards:
+    """The push operators refuse level-K vectors over ARRAY_BYTES_LIMIT before allocating."""
+
+    # half a point mass on two roots of prime orders near 10^6: level about 10^12
+    HUGE = AtomicMeasure({root(1, 999983): 0.5, root(1, 1000003): 0.5})
+    HUGE_K = 999983 * 1000003
+
+    def test_huge_level_refused_by_every_operator(self):
+        with pytest.raises(RangeError, match=rf"pushforward at level K = {self.HUGE_K} needs"):
+            pushforward(self.HUGE, 3)
+        with pytest.raises(RangeError, match=rf"apply_A at level K = {self.HUGE_K} needs"):
+            apply_A(self.HUGE, 6, 0.7)
+        with pytest.raises(RangeError, match=rf"C = 10 terms at level K = {self.HUGE_K} needs"):
+            t_beta(self.HUGE, 2.0, 10)
+        with pytest.raises(RangeError, match=rf"apply_A_inv at level K = {self.HUGE_K} needs"):
+            apply_A_inv(self.HUGE, 6, 0.7)
+
+    def test_huge_level_is_not_orbit_invariant(self):
+        with pytest.raises(NotOrbitInvariantError):
+            decompose(self.HUGE, 0.7)
+
+    @pytest.mark.parametrize("op, per_root, fixed", [
+        (lambda nu: pushforward(nu, 4), PUSH_BYTES, 0),
+        (lambda nu: apply_A(nu, 6, 0.7), PUSH_BYTES, 0),
+        (lambda nu: t_beta(nu, 2.0, 1)[0], T_BETA_ROOT_BYTES, T_BETA_TERM_BYTES),
+    ])
+    def test_level_budget_boundary(self, monkeypatch, op, per_root, fixed):
+        # under a limit of 600 roots' worth, level 600 works and level 606 is refused
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 600 * per_root + fixed)
+        assert len(op(AtomicMeasure({root(1, 6): 1.0}, level=600))) > 0
+        with pytest.raises(RangeError, match="K = 606 needs"):
+            op(AtomicMeasure({root(1, 6): 1.0}, level=606))
+
+    def test_series_length_refused_before_allocating(self):
+        with pytest.raises(RangeError, match=r"C = 10000000000 terms at level K = 1 needs 228882 MiB"):
+            t_beta(dirac(ONE), 2.0, 10**10)
+        c_max = (ARRAY_BYTES_LIMIT - T_BETA_ROOT_BYTES) // T_BETA_TERM_BYTES
+        with pytest.raises(RangeError, match=rf"C = {c_max + 1} terms"):
+            t_beta(dirac(ONE), 2.0, c_max + 1)
+
+    def test_image_atoms_charged_before_they_are_built(self, monkeypatch):
+        # the 997 atoms of the image cost more than the vectors that hold them
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 500 * ATOM_BYTES)
+        with pytest.raises(RangeError, match=r"a measure of 997 atoms needs"):
+            t_beta(AtomicMeasure({root(5, 997): 1.0}), 2.0, 1000)
+
+    def test_exact_root_image_refused_at_huge_order(self):
+        with pytest.raises(RangeError, match=r"t_beta_exact_root at order 999999937 needs"):
+            t_beta_exact_root(root(1, 999999937), 2.0)
 
 
 class TestInverseAgainstClosedForm:
@@ -257,7 +525,32 @@ class TestInverseAgainstClosedForm:
         nu = AtomicMeasure({root(j, K): w for j, w in zip(js, ws)}, signed=True)
         want = dense_A_inv(nu, n, beta, K)
         got = measures._level_vector(apply_A_inv(nu, n, beta, level=K), K)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if np.max(np.abs(want)) >= 2.0**-1022:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        else:
+            # below the normal range floats are spaced 2^-1074 apart, coarser than any
+            # relative bound, and the dense solve is inexact there too
+            exact = exact_A_inv(nu, n, beta, K)
+            error = max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact))
+            assert error <= inverse_rounding_allowance(nu, n, beta, K)
+
+    @pytest.mark.parametrize("K, n, beta, atoms, error_ulps", [
+        (2, 2, 1.0, {0: 5e-324}, 1),  # exact 1e-323; 2^-1 * 5e-324 underflows to 0
+        (2, 2, 1.0, {1: 8.2495333083e-313}, 1),
+        (502, 502, 0.3, {1: 5e-324, 3: -1e-310}, 1),
+    ])
+    def test_subnormal_results_against_exact_rationals(self, K, n, beta, atoms, error_ulps):
+        nu = AtomicMeasure({root(j, K): w for j, w in atoms.items()}, signed=True)
+        got = measures._level_vector(apply_A_inv(nu, n, beta, level=K), K)
+        exact = exact_A_inv(nu, n, beta, K)
+        error = max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact))
+        assert error <= error_ulps * Fraction(2) ** -1074 <= inverse_rounding_allowance(nu, n, beta, K)
+
+    @pytest.mark.parametrize("K, n, beta", [(12, 6, 0.7), (30, 30, 0.3), (502, 502, 0.3)])
+    def test_exact_oracle_against_dense_solve(self, K, n, beta):
+        nu = AtomicMeasure({root(1, K): 0.5, root(5, K): -0.25}, signed=True)
+        exact = np.array([float(e) for e in exact_A_inv(nu, n, beta, K)])
+        assert np.max(np.abs(exact - dense_A_inv(nu, n, beta, K))) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestAtomGuard:
@@ -342,7 +635,7 @@ def dict_frontier_check(nu, beta, extra_prime_bound=30, tol=1e-9):
         fac = float(p) ** -beta
         new = []
         for F, m in frontier:
-            pushed = pushforward(m, p)
+            pushed = dict_pushforward(m, p)
             nxt = m.plus(pushed.scaled(-fac))
             new.append((F + (p,), nxt))
         frontier += new
@@ -372,17 +665,33 @@ def exact_A_F_at(nu, beta, F, z):
 
 
 def orbit_invariant_mixture(data, L, beta):
-    """sum_n lambda_n nu_{beta,n} over the divisors of L, normalised; some lambda_n may be
-    negative while every atom stays >= 1e-6 (None when a draw breaks that)."""
-    coeff = st.one_of(st.just(0.0), st.floats(0.02, 1.0), st.floats(-0.3, -0.02))
+    """sum_n c_n nu_{beta,n} over the divisors n of L, some c_n negative and every atom
+    at least 1e-6, normalised.
+
+    The atoms of order d weigh phi_beta(d)/phi(d) sum_{d | n} c_n n^-beta.  Going down
+    the divisors, c_d is drawn zero, in [0.02, 1] or in [-0.3, -0.02], each range cut to
+    the c_d that keep the order-d atoms at 2e-6 or more given the c_n of the multiples
+    n of d; a kind that no such c_d has becomes positive.
+    """
+    coeffs: dict[int, float] = {}
+    for d in sorted(divisors(L), reverse=True):
+        kind = data.draw(st.sampled_from(["zero", "positive", "negative"]))
+        t = data.draw(st.floats(0.0, 1.0))
+        above = [n for n, c in coeffs.items() if c and n % d == 0]
+        rest = sum(coeffs[n] * n**-beta for n in above)
+        lo = (2e-6 * totient(d) / totient_beta(d, beta) - rest) * d**beta
+        if kind == "negative" and max(-0.3, lo) <= -0.02:
+            coeffs[d] = -0.02 + t * (max(-0.3, lo) + 0.02)
+        elif kind == "zero" and (lo <= 0 if above else d > 1):
+            coeffs[d] = 0.0
+        else:
+            coeffs[d] = max(0.02, lo) + 0.98 * t
     atoms: dict[RootOfUnity, float] = {}
-    for n in divisors(L):
-        c = data.draw(coeff)
+    for n, c in coeffs.items():
         if c:
             for z, w in extremal_measure(n, beta).atoms().items():
                 atoms[z] = atoms.get(z, 0.0) + c * w
-    if not atoms or min(atoms.values()) < 1e-6:
-        return None
+    assert min(atoms.values()) >= 1e-6
     mass = sum(atoms.values())
     return AtomicMeasure({z: w / mass for z, w in atoms.items()})
 
@@ -416,9 +725,7 @@ class TestSubconformalAgainstDictFrontier:
     @given(st.sampled_from([4, 6, 10, 12, 18, 30]), st.integers(5, 15), st.floats(0.1, 1.0),
            st.data())
     def test_orbit_invariant_mixtures(self, L, window, beta, data):
-        nu = orbit_invariant_mixture(data, L, beta)
-        assume(nu is not None)
-        self.assert_agrees(nu, beta, window)
+        self.assert_agrees(orbit_invariant_mixture(data, L, beta), beta, window)
 
     def test_extremal_measure_at_window_60(self):
         # 17 primes: 2^17 subsets on the 30th roots
@@ -535,6 +842,64 @@ class TestDecompose:
             assert sum(lam.values()) == pytest.approx(sum(weights), abs=1e-9)
 
 
+def enumerated_orbit_witness(nu):
+    """The former orbit check over every root of each present order, listed by epsilon:
+    the first largest deviation, its root and the share of the root's order."""
+    primitive_mass: dict[int, float] = {}
+    for z, w in nu.atoms().items():
+        primitive_mass[z.den] = primitive_mass.get(z.den, 0.0) + w
+    shares = {d: m / totient(d) for d, m in primitive_mass.items()}
+    deviations = [(abs(nu.weight(z) - s), z) for d, s in shares.items() for z in epsilon(d).atoms()]
+    dev, z = max(deviations, key=lambda t: t[0])
+    return dev, z, shares[z.den]
+
+
+class TestOrbitCheck:
+    """decompose's orbit check compares the atoms present, and one absent root per order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 5, 12, 30, 60]), st.data())
+    def test_same_witness_as_the_enumeration(self, L, data):
+        # few distinct weights, so that ties between deviations are common
+        roots = [root(j, L) for j in range(L)]
+        picked = data.draw(st.lists(st.sampled_from(roots), min_size=1, max_size=12, unique=True))
+        weights = data.draw(st.lists(st.sampled_from([0.05, 0.1, 0.25]), min_size=len(picked),
+                                     max_size=len(picked)))
+        nu = AtomicMeasure(dict(zip(picked, weights)))
+        dev, z, share = enumerated_orbit_witness(nu)
+        try:
+            decompose(nu, 1.0)
+        except NotOrbitInvariantError as err:
+            assert dev > 1e-9
+            assert (err.atom, err.weight, err.expected) == (z, nu.weight(z), share)
+            return
+        except NotSubconformalError:
+            pass
+        assert dev <= 1e-9
+
+    def test_absent_root_of_smallest_numerator_is_the_witness(self):
+        # share 0.05 on the order-5 roots: 2/5 and 3/5 deviate by 0.05, and so do the
+        # absent 1/5 and 4/5; the first in numerator order is absent
+        nu = AtomicMeasure({ONE: 0.8, root(2, 5): 0.1, root(3, 5): 0.1})
+        with pytest.raises(NotOrbitInvariantError) as err:
+            decompose(nu, 0.7)
+        assert (err.value.atom, err.value.weight, err.value.expected) == (root(1, 5), 0.0, 0.05)
+
+    def test_large_prime_order_without_enumerating_its_roots(self):
+        # epsilon(999983) alone would need 275 MiB
+        nu = AtomicMeasure({ONE: 0.5, root(1, 999983): 0.5})
+        with pytest.raises(NotOrbitInvariantError) as err:
+            decompose(nu, 0.7)
+        assert (err.value.atom, err.value.weight) == (root(1, 999983), 0.5)
+        assert err.value.expected == 0.5 / 999982
+
+    def test_order_99991_two_atoms(self):
+        nu = AtomicMeasure({ONE: 0.5, root(7, 99991): 0.5})
+        with pytest.raises(NotOrbitInvariantError) as err:
+            decompose(nu, 1.0)
+        assert err.value.atom == root(7, 99991)
+
+
 LEVEL_12_ROOTS = [RootOfUnity(j, d) for d in (1, 2, 3, 4, 6, 12) for j in range(d) if gcd(j, d) == 1]
 
 
@@ -601,7 +966,6 @@ class TestDecomposeAgainstVerifier:
     )
     def test_decompose_rejects_exactly_what_the_verifier_rejects(self, L, beta, data):
         nu = orbit_invariant_mixture(data, L, beta)
-        assume(nu is not None)
         try:
             decompose(nu, beta)
             rejected = False
@@ -662,6 +1026,9 @@ MALFORMED_MEASURES = {
                         ValueError),
     "float-level": ('{"level": 6.0, "atoms": [{"num": 1, "den": 2, "weight": 1.0}]}', TypeError),
     "float-root": ('{"atoms": [{"num": 1.7, "den": 2.2, "weight": 1.0}]}', TypeError),
+    "zero-level": ('{"level": 0, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}', ValueError),
+    "negative-level": ('{"level": -6, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
+                       ValueError),
 }
 
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from affkms.arith import PrimeSet, divisors, partial_zeta, smooth_numbers
+from affkms.arith import PrimeSet, RangeError, divisors, partial_zeta, smooth_numbers
 from affkms.algebra import AlgebraElement, Monomial, alpha, projection_eF
 from affkms.measures import (
     ONE,
@@ -327,6 +327,10 @@ class TestBetaLimit:
         rows = limit_beta1(root(1, 4), betas)
         dists = [d for _, d in rows]
         assert all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
+
+    def test_huge_order_refused_before_any_atom_is_built(self):
+        with pytest.raises(RangeError, match=r"limit_beta1 at order 999999937 needs"):
+            limit_beta1(root(1, 999999937), [1.1])
 
 
 class TestSuperposition:
