@@ -7,9 +7,11 @@ The counter evaluates Buchstab's recursion
 
     Psi(x, p_k) = Psi(x, p_{k-1}) + Psi(x // p_k, p_k)
 
-in numpy, band by band, for many x in one pass (see :func:`psi_counts`).  It
-keeps no memo: all of its state belongs to one call, and the only data shared
-across calls is the immutable prime table, so concurrent callers need no lock.
+in numpy for many x in one pass (see :func:`psi_counts`): the same recurrence
+fills one table row by row for every small x, and the nodes above it go band
+by band.  It keeps no memo: the table and all other state belong to one call,
+and the only data shared across calls is the immutable prime table, so
+concurrent callers need no lock.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _KEY_BITS = 17
 _K_MASK = (1 << _KEY_BITS) - 1
 # pi(v) for v <= 10^6 is a search in the prime table, so closed-form leaves stop here
 _LEAF_X = 10**6
+# int32 cells of the per-call table of Psi(x, p_k) for small x (8 MiB)
+_TABLE_CELLS = 2**21
 # int64 arrays as long as one ragged layout that are alive at once while it is built
 _LIVE_ARRAYS = 6
 
@@ -52,7 +56,18 @@ _LIVE_ARRAYS = 6
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct keys, ascending (np.unique would import numpy.ma, 10 ms of a cold CLI call)."""
     keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+class _Crowded(Exception):
+    """A refusal that the table's own bytes explain.
+
+    Without the table every step of the recursion holds at least what it holds
+    with it, less the table, so any other refusal stands; this one is retried
+    without the table, which never refuses an input that the recursion alone fits.
+    """
 
 
 class _Buchstab:
@@ -61,39 +76,89 @@ class _Buchstab:
         Psi(x, p_k) = bitlen(x) + sum_{1<=i<=j} Psi(x // p_i, p_i) + sum_{j<i<=k} x // p_i,
 
     with p_j the largest prime <= min(p_k, sqrt(x)): a prime p_i > sqrt(x) leaves
-    x // p_i < p_i, and every integer below p_i is p_i-smooth.  A node with
-    p_k^2 >= x and x <= 10^6 is a closed-form leaf, because each n <= x then has
-    at most one prime factor above p_k:
+    x // p_i < p_i, and every integer below p_i is p_i-smooth.
+
+    Almost all nodes of the recursion have a small x, so every node with
+    x <= T is answered from one table of Psi(x, p_k), x <= T and k < rows,
+    built for the call by the recursion in its row form
+
+        Psi(x, p_k) = Psi(x, p_{k-1}) + Psi(x // p_k, p_k),
+
+    one numpy step per block [p^m, p^(m+1)) of x, whose quotients x // p lie
+    in the block before.  T is the largest value <= sqrt(max x) for which the
+    table fits ``_TABLE_CELLS`` int32 cells and half of what the byte limit
+    leaves; rows = min(k + 1, pi(T)), since for x <= T a larger k counts the
+    same integers.  Such a node is never pushed, sorted or searched.
+
+    A node above T with p_k^2 >= x and x <= 10^6 is a closed-form leaf,
+    because each n <= x then has at most one prime factor above p_k:
 
         Psi(x, p_k) = x - sum_{q <= x // (p_k + 1)} (pi(x // q) - pi(p_k)).
 
-    The down pass takes the pending nodes band by band, x in (top/3, top].  A
-    child comes from a prime p_i >= 3, so it lies in a lower band, and all
-    copies of a node meet in its own band, where sorting merges them.  The
-    up pass walks the bands from the smallest x; the bands concatenated in
-    that order form one ascending key array, in which a node finds the values
-    of its children with np.searchsorted.  Every state lives in this object,
-    which serves one call; nothing is shared between calls.
+    The down pass takes the pending nodes above T band by band, x in
+    (top/3, top].  A child comes from a prime p_i >= 3, so it lies in a lower
+    band, and all copies of a node meet in its own band, where sorting merges
+    them.  The up pass walks the bands from the smallest x; the bands
+    concatenated in that order form one ascending key array, in which a node
+    finds the values of its children above T with np.searchsorted.  Every
+    state lives in this object, which serves one call; nothing is shared
+    between calls.
 
     Every row sum below is a partial count of one node: the recursion splits
     the integers counted by Psi(x, p_k) into disjoint classes, so each sum is
-    <= Psi(x, p_k) <= x <= 10^12 and int64 arithmetic is exact.
+    <= Psi(x, p_k) <= x <= 10^12 and int64 arithmetic is exact; table cells
+    are <= T < 2^31.
     """
 
-    def __init__(self, k: int, where: str):
+    def __init__(self, k: int, where: str, cells: int):
         self.primes = prime_array()
         self.squares = self.primes * self.primes
         self.k = k
         self.where = where
+        self.cells = cells  # int32 cells the table may take
         self.held = 0  # int64 elements alive outside the array being built
 
     def _reserve(self, n: int) -> None:
         need = 8 * (self.held + n)
         if need > ARRAY_BYTES_LIMIT:
+            if need - 8 * self.table_held <= ARRAY_BYTES_LIMIT:
+                raise _Crowded
             raise RangeError(
                 f"psi_count at {self.where} needs a working set of {need / 2**20:.0f} MiB, "
                 f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
             )
+
+    def _rows(self, top: int) -> int:
+        """min(k + 1, pi(top)) rows, and at least the row of p_0 = 2, which also serves x <= 1."""
+        return max(1, min(self.k + 1, int(np.searchsorted(self.primes, top, side="right"))))
+
+    def _table_top(self, xmax: int, cells: int) -> int:
+        """The largest T <= sqrt(xmax) whose table fits the cells (0 when none does)."""
+        top, hi = 0, math.isqrt(xmax)
+        while top < hi:
+            mid = (top + hi + 1) // 2
+            if self._rows(mid) * (mid + 1) <= cells:
+                top = mid
+            else:
+                hi = mid - 1
+        return top
+
+    def _table(self, top: int) -> np.ndarray:
+        """Psi(x, p_k) for x <= top and k < rows, row k from row k - 1."""
+        table = np.empty((self._rows(top), top + 1), dtype=np.int32)
+        table[0] = 1  # Psi(x, 1) for x >= 1
+        table[0, 0] = 0
+        for k, row in enumerate(table):
+            if k:
+                row[:] = table[k - 1]
+            p = int(self.primes[k])
+            start = p
+            while start <= top:
+                stop = min(start * p, top + 1)
+                # x // p for x in [start, stop) runs over start // p .. (stop - 1) // p, p times each
+                row[start:stop] += np.repeat(row[start // p : (stop - 1) // p + 1], p)[: stop - start]
+                start = stop
+        return table
 
     def _expand(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, rank) of each entry of a ragged layout with the given row lengths."""
@@ -111,11 +176,20 @@ class _Buchstab:
             out[full] = np.add.reduceat(values, (np.cumsum(counts) - counts)[full])
         return out
 
-    def _children(self, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Keys of the children (x // p_i, i), i = 1..counts, of each node, row by row."""
+    def _children(self, x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children (x // p_i, i), i = 1..counts, of each node, row by row."""
         row, rank = self._expand(counts)
         i = rank + 1
-        return ((x[row] // self.primes[i]) << _KEY_BITS) | i
+        return x[row] // self.primes[i], i
+
+    def _values(self, x: np.ndarray, k: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Psi(x, p_k) from the table for x <= T, and from the computed nodes above."""
+        out = np.empty_like(x)
+        small = x <= self.top
+        out[small] = self.table[np.minimum(k[small], len(self.table) - 1), x[small]]
+        big = ~small
+        out[big] = values[np.searchsorted(keys, (x[big] << _KEY_BITS) | k[big])]
+        return out
 
     def _leaf_counts(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         qs = x // (self.primes[k] + 1)
@@ -129,12 +203,17 @@ class _Buchstab:
         return self._row_sums(x[row] // self.primes[j[row] + 1 + rank], counts)
 
     def run(self, xs: np.ndarray) -> np.ndarray:
+        kept = self.squares.size  # and the table, and the recorded bands: keys, partial counts, child counts
+        self.top = self._table_top(int(xs.max()), min(self.cells, ARRAY_BYTES_LIMIT // 8 - kept))
+        self.table = self._table(self.top)
+        self.table_held = self.table.nbytes // 8
+        kept += self.table_held
         pis = np.searchsorted(self.primes, xs, side="right")
-        roots = (xs << _KEY_BITS) | np.maximum(np.minimum(self.k, pis - 1), 0)
-        pending = _distinct(roots)
+        ks = np.maximum(np.minimum(self.k, pis - 1), 0)
+        big = xs > self.top
+        pending = _distinct((xs[big] << _KEY_BITS) | ks[big])
         bands = []
         nodes = 0
-        kept = self.squares.size  # and the recorded bands: keys, partial counts, child counts
         while pending.size:
             self.held = kept + pending.size
             self._reserve(2 * pending.size)
@@ -155,27 +234,31 @@ class _Buchstab:
             partial[inner] = np.frexp(xi.astype(np.float64))[1] + self._tail_sums(xi, j[inner], k[inner])
             counts = np.where(leaf, 0, j)
             bands.append((band, partial, counts))
-            children = self._children(x, counts)
+            cx, ci = self._children(x, counts)
+            above = cx > self.top
+            children = (cx[above] << _KEY_BITS) | ci[above]
             self._reserve(pending.size + children.size)
             pending = np.concatenate([pending, children])
 
         bands.reverse()
         self.held = kept + 2 * nodes  # the bands, and their keys and values in one array each
-        keys = np.concatenate([band for band, _, _ in bands])
+        # pending is empty now; it keeps the concatenation defined when every root is in the table
+        keys = np.concatenate([pending] + [band for band, _, _ in bands])
         values = np.empty_like(keys)
         start = 0
         for band, partial, counts in bands:
-            # children sit in lower bands, whose values are already final
-            child = np.searchsorted(keys, self._children(band >> _KEY_BITS, counts))
-            values[start : start + band.size] = partial + self._row_sums(values[child], counts)
+            # children above T sit in lower bands, whose values are already final
+            cx, ci = self._children(band >> _KEY_BITS, counts)
+            values[start : start + band.size] = partial + self._row_sums(self._values(cx, ci, keys, values), counts)
             start += band.size
-        return values[np.searchsorted(keys, roots)]
+        return self._values(xs, ks, keys, values)
 
 
 def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
     """Exact numbers of y-smooth integers in [1, x] for every x of xs, as int64 in input order.
 
-    One pass of the Buchstab recursion serves all of xs.  Raises
+    One pass of the Buchstab recursion serves all of xs, with one table for
+    its nodes at small x (see :class:`_Buchstab`).  Raises
     :class:`RangeError` before allocating when its working set would exceed
     ``ARRAY_BYTES_LIMIT`` bytes.
     """
@@ -191,7 +274,12 @@ def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
     k = len(primes_up_to(y)) - 1
     if not xs:
         return np.zeros(0, dtype=np.int64)
-    return _Buchstab(k, f"x = {max(xs)}, y = {y}").run(np.array(xs, dtype=np.int64))
+    where = f"x = {max(xs)}, y = {y}"
+    xs = np.array(xs, dtype=np.int64)
+    try:
+        return _Buchstab(k, where, _TABLE_CELLS).run(xs)
+    except _Crowded:
+        return _Buchstab(k, where, 0).run(xs)
 
 
 def psi_count(x: int, y: int) -> int:

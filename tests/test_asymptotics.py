@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,6 +287,109 @@ class TestPsiAgainstRecursion:
             vals = [recursion_oracle(int(x**s), x) / x**s for s in grid]
             integral = sum(0.5 * (grid[i + 1] - grid[i]) * (vals[i] + vals[i + 1]) for i in range(63))
             assert delta_estimate(u, x) == DeltaEstimate(float(integral), s_max, truncated)
+
+
+def table_shape(xmax: int, y: int, cells: int = asymptotics._TABLE_CELLS) -> tuple[int, int]:
+    """(T, rows) of the table of Psi(x, p_k) that a call with largest x = xmax builds."""
+    engine = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "", cells)
+    top = engine._table_top(xmax, cells)
+    return top, engine._rows(top)
+
+
+_CELL_BUDGETS = [0, 64, asymptotics._TABLE_CELLS]
+
+
+class TestPsiTable:
+    @given(st.lists(st.integers(1, 10**7), min_size=1, max_size=6), st.sampled_from(primes_up_to(20_000)),
+           st.integers(-1, 1), st.sampled_from(_CELL_BUDGETS))
+    @settings(max_examples=150, deadline=None)
+    def test_against_recursion_at_any_table_size(self, xs, q, shift, cells):
+        y = max(q + shift, 2)
+        with mock.patch.object(asymptotics, "_TABLE_CELLS", cells):
+            got = psi_counts(xs, y).tolist()
+        assert got == [recursion_oracle(x, y) for x in xs]
+
+    @pytest.mark.parametrize("cells", _CELL_BUDGETS)
+    @pytest.mark.parametrize("xmax, y", [(10**7, 997), (10**7, 17_011), (3 * 10**6, 150), (10**6, 2), (10**6, 3)])
+    def test_at_the_edge_of_the_table(self, monkeypatch, cells, xmax, y):
+        monkeypatch.setattr(asymptotics, "_TABLE_CELLS", cells)
+        top, _ = table_shape(xmax, y, cells)
+        xs = [x for x in (top - 1, top, top + 1) if x >= 1] + [xmax]
+        assert psi_counts(xs, y).tolist() == [recursion_oracle(x, y) for x in xs]
+
+    def test_table_size(self):
+        assert table_shape(10**9, 997) == (12_482, 168)  # 168 * 12 483 cells fit 2^21
+        assert table_shape(10**7, 997) == (3162, 168)  # capped at sqrt(x)
+        assert table_shape(5 * 10**7, 17_000) == (3889, 539)  # rows = pi(T) < 1960
+        assert table_shape(10**6, 97, 64) == (11, 5)  # 5 * 12 cells fit 64
+        assert table_shape(10**6, 97, 0) == (0, 1)
+        assert table_shape(3, 97) == (1, 1)
+
+    def test_every_root_in_the_table(self):
+        assert asymptotics._distinct(np.zeros(0, dtype=np.int64)).tolist() == []
+        for y in (2, 3, 97, 10**6):
+            assert table_shape(1, y)[0] == 1
+            assert psi_counts([1], y).tolist() == [1]
+            assert psi_counts([1, 1, 1], y).tolist() == [1, 1, 1]
+        assert psi_counts([5, 17], 97).tolist() == [5, 17]
+
+    @pytest.mark.parametrize("cells", _CELL_BUDGETS)
+    def test_smallest_and_largest_y(self, monkeypatch, cells):
+        monkeypatch.setattr(asymptotics, "_TABLE_CELLS", cells)
+        xs = [1, 2, 3, 4, 5, 31, 32, 33, 1000, 65_535, 65_536, 10**6, 10**9 + 7]
+        assert psi_counts(xs, 2).tolist() == [x.bit_length() for x in xs]
+        three = smooth_numbers(PrimeSet.of([2, 3]), max(xs))
+        assert psi_counts(xs, 3).tolist() == [bisect_right(three, x) for x in xs]
+        small = [x for x in xs if x <= 10**6]
+        for y in (10**6, 999_983, 10**6 - 1):
+            assert psi_counts(small, y).tolist() == [x if x <= y else recursion_oracle(x, y) for x in small]
+        for x in (2, 3, 7, 100):
+            assert psi_count(x, x) == psi_count(x, x + 1) == x
+
+    @pytest.mark.parametrize("y", [2, 3, 97, 997, 17_011])
+    def test_table_against_the_sieve(self, y):
+        # every row over the whole range, and the last row serves every k >= rows
+        top, rows = table_shape(10**9, y)
+        table = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "", asymptotics._TABLE_CELLS)._table(top)
+        assert table.shape == (rows, top + 1)
+        ps = primes_up_to(max(y, top))
+        for k, row in enumerate(table):
+            assert row[0] == 0
+            assert np.array_equal(row[1:], psi_count_table(top, ps[k])[1:])
+        assert np.array_equal(table[-1, 1:], psi_count_table(top, y)[1:])
+
+    @pytest.mark.parametrize("x, y", [(10**9, 31_623), (999_999_937, 10**5)])
+    def test_large_y_against_lucy_at_the_billion(self, x, y):
+        assert psi_count(x, y) == lucy_oracle(x, y)
+
+    def test_top_of_the_range_still_refused(self):
+        with pytest.raises(RangeError, match=r"x = 1000000000000, y = 997 needs a working set of .* MiB, "
+                           r"over the 128 MiB limit"):
+            psi_count(10**12, 997)
+
+    def test_the_table_admits_what_the_recursion_alone_cannot(self, monkeypatch):
+        # Psi(10^8, 100) needs 1.34 MiB without the table and 1.11 MiB with it
+        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 1_200_000)
+        assert psi_count(10**8, 100) == recursion_oracle(10**8, 100)
+        monkeypatch.setattr(asymptotics, "_TABLE_CELLS", 0)
+        with pytest.raises(RangeError, match=r"x = 100000000, y = 100 needs a working set of 1 MiB"):
+            psi_count(10**8, 100)
+
+    def test_a_crowding_table_gives_way(self, monkeypatch):
+        # at 1 MiB the table takes half of what the prime table leaves, which
+        # crowds out this recursion; the call runs again without the table
+        cells = []
+        engine = asymptotics._Buchstab
+
+        class Spy(engine):
+            def __init__(self, k, where, budget):
+                cells.append(budget)
+                super().__init__(k, where, budget)
+
+        monkeypatch.setattr(asymptotics, "_Buchstab", Spy)
+        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        assert psi_count(9_028_064, 245) == recursion_oracle(9_028_064, 245)
+        assert cells == [asymptotics._TABLE_CELLS, 0]
 
 
 _SEQUENCES = [SequenceSpec.const_one(), SequenceSpec.prime_indicator(), SequenceSpec.square_indicator(),
