@@ -2,7 +2,7 @@
 
 A measure is a finite weighted set of reduced rational points p/q of the
 circle.  Phases stay exact fractions until the final trigonometric call in
-:func:`fourier`.  The central objects:
+:func:`moments`.  The central objects:
 
 * wrap-around pushforward  omega_d: z -> z^d,
 * the operators  A_{beta,n} nu = sum_{d|n} mu(d) d^-beta omega_d* nu  and
@@ -17,16 +17,17 @@ Measures are immutable values; every operation returns a fresh measure.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
-from math import cos, fsum, gcd, isfinite, lcm, pi, sin
+from math import cos, fsum, gcd, isfinite, lcm, pi, prod, sin
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .arith import (
+    INT64_MAX,
     PrimeSet,
+    RangeError,
     charge,
     divisors,
     factorize,
@@ -38,11 +39,11 @@ from .arith import (
     zeta,
 )
 
-# bytes one atom of an AtomicMeasure costs while it is built: its RootOfUnity
-# key, its float and its slots in two dicts (input and copy).  tracemalloc's
-# peak per atom was 255-288 B for extremal_measure(n) and 207-276 B for
-# epsilon(n) at n from 5*10^4 to 4.5*10^5, where the guards below bite.
-ATOM_BYTES = 288
+# bytes per atom while an operation builds a measure: three array entries and
+# the index, gcd and sort temporaries.  tracemalloc's peak per atom was 72 B for
+# the images of pushforward and t_beta_exact_root and 48 B per root for
+# extremal_measure(n) at 10^5 to 10^6 atoms; epsilon(n) took 17 B per root.
+ATOM_ARRAY_BYTES = 72
 
 # pushforward, apply_A and t_beta refuse with RangeError, before allocating,
 # what would exceed ARRAY_BYTES_LIMIT: per root, the first two hold three
@@ -90,7 +91,13 @@ ONE = RootOfUnity(0, 1)
 
 
 class AtomicMeasure:
-    """Finite weighted atoms on roots of unity; weights may be signed in intermediates."""
+    """Finite weighted atoms on roots of unity; weights may be signed in intermediates.
+
+    The atoms are parallel arrays num, den (int64) and weight (float64), sorted by
+    (den, num): the order :func:`measure_to_dict` writes and sums over atoms run in.
+    Input weights 0 are dropped, repeated roots add up in the order given, and an
+    order of 2^63 or more raises :class:`RangeError`.
+    """
 
     __slots__ = ("_atoms", "signed", "_level")
 
@@ -101,83 +108,121 @@ class AtomicMeasure:
         signed: bool = False,
         level: int | None = None,
     ):
-        acc: dict[RootOfUnity, float] = {}
-        items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        for z, w in items:
-            if w == 0.0:
-                continue
-            acc[z] = acc.get(z, 0.0) + w
-        object.__setattr__(self, "_atoms", acc)
-        object.__setattr__(self, "signed", signed)
+        acc: dict[tuple[int, int], float] = {}
+        for z, w in atoms.items() if isinstance(atoms, Mapping) else atoms:
+            if w != 0.0:
+                acc[z.den, z.num] = acc.get((z.den, z.num), 0.0) + w
+        keys = sorted(acc)
+        if keys and keys[-1][0] > INT64_MAX:
+            z = RootOfUnity(keys[-1][1], keys[-1][0])
+            raise RangeError(f"atom {z} has order {z.den}, beyond the 64-bit range")
+        dens, nums = zip(*keys) if keys else ((), ())
+        arrays = (np.array(nums, dtype=np.int64), np.array(dens, dtype=np.int64),
+                  np.array([acc[k] for k in keys], dtype=np.float64))
         if level is not None:
             if level < 1:
                 raise ValueError(f"level must be >= 1, got {level}")
-            bad = [z for z in acc if level % z.den != 0]
-            if bad:
-                raise ValueError(f"atoms {bad} do not live on the level-{level} roots")
-        object.__setattr__(self, "_level", level)
+            _check_level(arrays, level)
+        self._set(arrays, signed, level)
+
+    def _set(self, arrays, signed, level) -> "AtomicMeasure":
+        for name, value in zip(self.__slots__, (arrays, signed, level)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):  # measures are values
         raise AttributeError("AtomicMeasure is immutable")
 
     def atoms(self) -> dict[RootOfUnity, float]:
-        return dict(self._atoms)
+        """The atoms as a new dict, in (den, num) order."""
+        return {RootOfUnity(j, d): w for j, d, w in zip(*(a.tolist() for a in self._atoms))}
 
     def weight(self, z: RootOfUnity) -> float:
-        return self._atoms.get(z, 0.0)
+        num, den, w = self._atoms
+        return float(w[(den == z.den) & (num == z.num)].sum())
 
     def mass(self) -> float:
-        return sum(self._atoms.values())
+        return sum(self._atoms[2].tolist())
+
+    def variation(self) -> float:
+        """Total variation: the sum of |weight| over the atoms."""
+        return sum(np.abs(self._atoms[2]).tolist())
 
     def min_weight(self) -> float:
-        return min(self._atoms.values(), default=0.0)
+        return float(self._atoms[2].min()) if len(self) else 0.0
 
     def support_level(self) -> int:
         """lcm of atom orders (declared level if one was given)."""
         if self._level is not None:
             return self._level
-        out = 1
-        for z in self._atoms:
-            out = lcm(out, z.den)
-        return out
+        return lcm(*set(self._atoms[1].tolist()))
 
     def is_probability(self, tol: float = 1e-10) -> bool:
         return abs(self.mass() - 1.0) <= tol and self.min_weight() >= -tol
 
     def scaled(self, c: float) -> "AtomicMeasure":
-        return AtomicMeasure(
-            {z: c * w for z, w in self._atoms.items()},
-            signed=self.signed or c < 0,
-            level=self._level,
-        )
+        num, den, w = self._atoms
+        return _measure((num, den, c * w), self.signed or c < 0, self._level)
 
     def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        acc = self.atoms()
-        for z, w in other._atoms.items():
-            acc[z] = acc.get(z, 0.0) + w
-        return AtomicMeasure(acc, signed=self.signed or other.signed)
+        return _measure(_summed(self._atoms, other._atoms), self.signed or other.signed)
 
     def __len__(self):
-        return len(self._atoms)
+        return len(self._atoms[2])
 
     def __repr__(self):
-        inner = " + ".join(f"{w:.6g}*d({z})" for z, w in sorted(self._atoms.items()))
+        inner = " + ".join(f"{w:.6g}*d({z})" for z, w in sorted(self.atoms().items()))
         return f"AtomicMeasure({inner or '0'})"
+
+
+def _measure(arrays, signed: bool, level: int | None = None) -> AtomicMeasure:
+    """The measure on (num, den, weight) sorted by (den, num) without repeats; weights 0 dropped."""
+    keep = arrays[2] != 0.0
+    return object.__new__(AtomicMeasure)._set(tuple(a[keep] for a in arrays), signed, level)
+
+
+def _summed(*parts):
+    """The (num, den, weight) parts joined and sorted by (den, num), repeated roots added in order."""
+    num, den, w = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((num, den))
+    num, den, w = num[order], den[order], w[order]
+    first = np.ones(len(w), dtype=bool)
+    first[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    return num[first], den[first], np.bincount(np.cumsum(first) - 1, weights=w)
+
+
+def _divides(den: np.ndarray, k: int) -> np.ndarray:
+    """Whether each order in den divides k, for an int k of any size."""
+    if abs(k) <= INT64_MAX:
+        return k % den == 0
+    return np.array([k % d == 0 for d in den.tolist()], dtype=bool)
+
+
+def _check_level(arrays, K: int) -> None:
+    num, den, _ = arrays
+    bad = np.flatnonzero(~_divides(den, K))
+    if len(bad):
+        atoms = [RootOfUnity(int(num[i]), int(den[i])) for i in bad]
+        raise ValueError(f"atoms {atoms} do not live on the level-{K} roots")
 
 
 def dirac(z: RootOfUnity) -> AtomicMeasure:
     return AtomicMeasure({z: 1.0})
 
 
+def _difference(mu: AtomicMeasure, nu: AtomicMeasure) -> np.ndarray:
+    """mu - nu on the union of their atoms, in (den, num) order."""
+    num, den, w = nu._atoms
+    return _summed(mu._atoms, (num, den, -w))[2]
+
+
 def tv_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Total-variation norm of mu - nu (sum of absolute atom differences)."""
-    keys = set(mu.atoms()) | set(nu.atoms())
-    return sum(abs(mu.weight(z) - nu.weight(z)) for z in keys)
+    return sum(np.abs(_difference(mu, nu)).tolist())
 
 
 def max_atom_diff(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    keys = set(mu.atoms()) | set(nu.atoms())
-    return max((abs(mu.weight(z) - nu.weight(z)) for z in keys), default=0.0)
+    return float(np.abs(_difference(mu, nu)).max(initial=0.0))
 
 
 def pushforward(nu: AtomicMeasure, d: int) -> AtomicMeasure:
@@ -196,9 +241,15 @@ def epsilon(n: int) -> AtomicMeasure:
     if n < 1:
         raise ValueError(f"epsilon requires n >= 1, got {n}")
     phi = totient(n)
-    charge(f"epsilon({n}) with {phi} atoms", phi * ATOM_BYTES)
-    w = 1.0 / phi
-    return AtomicMeasure({RootOfUnity(j, n): w for j in range(n) if gcd(j, n) == 1})
+    charge(f"epsilon({n}) with {phi} atoms", n * ATOM_ARRAY_BYTES)
+    return _measure(_primitive_roots(n, 1.0 / phi), False)
+
+
+def _primitive_roots(d: int, w: float):
+    """Atom arrays of weight w on the primitive d-th roots, in numerator order."""
+    j = np.arange(d, dtype=np.int64)
+    j = j[np.gcd(j, d) == 1]
+    return j, np.full(len(j), d, np.int64), np.full(len(j), w)
 
 
 def apply_A(nu: AtomicMeasure, n: int, beta: float) -> AtomicMeasure:
@@ -225,22 +276,29 @@ def apply_A_inv(
     operator, and prod_{p|n}(1-p^-beta) * mu is a probability measure whenever
     nu is.
 
-    A_{beta,n} mu, applied by the same pushes, must equal nu within 1e-9 in
-    every atom, or :class:`RuntimeError`.  Raises :class:`RangeError` before
-    allocating when the K output atoms and the working vectors would exceed
-    ``ARRAY_BYTES_LIMIT`` bytes, and ``ValueError`` when some p^-beta rounds
-    to 1, where the series does not converge in float64.
+    A_{beta,n} mu, applied by the same pushes, must equal nu within
+    count * prod_p (1 + c_p) * (2^-53 M + K 2^-1074) in every atom, or
+    :class:`RuntimeError`.  M = |nu|_1 / prod_p (1 - c_p) = |A^-1 |nu||_1 (that is
+    |mu|_1 when nu >= 0) bounds every intermediate and, to first order, what one
+    rounding of 2^-53 of a value (2^-1074 below the normal range) becomes in mu;
+    A grows it by prod_p (1 + c_p).  count counts the roundings: g + 1 for each
+    push by d of the solve and of the check, which sums g = gcd(d, K) entries
+    into each root and is then scaled and added, and 1 for the final subtraction.
+    Raises :class:`RangeError` before allocating when the K output atoms and
+    the working vectors would exceed ``ARRAY_BYTES_LIMIT`` bytes, and
+    ``ValueError`` when some p^-beta rounds to 1, where the series does not
+    converge in float64.
     """
     if beta <= 0:
         raise ValueError(f"apply_A_inv requires beta > 0, got {beta}")
     K = level if level is not None else nu.support_level()
-    # besides the atoms: four float64 vectors and the K Python floats the atoms
-    # are read from, 32 B per root each (tracemalloc's peak: 64 B per root)
-    charge(f"apply_A_inv at level K = {K}", K * (ATOM_BYTES + 64))
-    factors = [(p, float(p) ** -beta) for p in PrimeSet.dividing(n)]
+    # besides the atoms: rhs, mu, tmp, the residual and a push's column index, 8 B per root each
+    charge(f"apply_A_inv at level K = {K}", K * (ATOM_ARRAY_BYTES + 40))
+    cs = {p: float(p) ** -beta for p in PrimeSet.dividing(n)}
     rhs = _level_vector(nu, K)[None]
     mu, tmp = rhs.copy(), np.empty_like(rhs)
-    for p, c in factors:
+    count = 1 + sum(gcd(p, K) + 1 for p in cs)
+    for p, c in cs.items():
         if c == 1.0:
             raise ValueError(f"apply_A_inv: {p}^-beta rounds to 1 at beta = {beta}")
         stop, d = 2.0**-60 * (1.0 - c), p
@@ -248,13 +306,16 @@ def apply_A_inv(
             _push(mu, d, tmp)
             tmp *= c
             mu += tmp
+            count += gcd(d, K) + 1
             c, d = c * c, d * d % K
     res = mu.copy()
     _apply_A_rows(res, n, beta, tmp)
     res -= rhs
     residual = float(np.max(np.abs(res)))
-    if residual > 1e-9:
-        raise RuntimeError(f"A_inv solve residual {residual:.2e} exceeds 1e-9")
+    M = float(np.sum(np.abs(rhs))) / prod(1.0 - c for c in cs.values())
+    bound = count * prod(1.0 + c for c in cs.values()) * (2.0**-53 * M + K * 2.0**-1074)
+    if residual > bound:
+        raise RuntimeError(f"A_inv solve residual {residual:.2e} exceeds {bound:.2e}")
     return _from_level_vector(mu[0], K, nu.signed)
 
 
@@ -266,21 +327,20 @@ def _apply_A_rows(rows: np.ndarray, n: int, beta: float, tmp: np.ndarray) -> Non
 
 
 def _level_vector(nu: AtomicMeasure, K: int) -> np.ndarray:
-    """The weights of nu as a length-K vector, entry j on the root j/K."""
+    """The weights of nu as a length-K vector, entry j on the root j/K; K is charged already."""
+    _check_level(nu._atoms, K)
+    num, den, w = nu._atoms
     vec = np.zeros(K)
-    for z, w in nu.atoms().items():
-        if K % z.den != 0:
-            raise ValueError(f"atom {z} is not supported on the level-{K} roots")
-        vec[z.num * (K // z.den)] = w
+    vec[num * (K // den)] = w
     return vec
 
 
 def _from_level_vector(vec: np.ndarray, K: int, signed: bool) -> AtomicMeasure:
     """The measure with weight vec[j] on the root j/K; its atoms are charged first."""
-    js = np.flatnonzero(vec)
-    charge(f"a measure of {len(js)} atoms", len(js) * ATOM_BYTES)
-    atoms = zip(js.tolist(), vec[js].tolist())
-    return AtomicMeasure({root(j, K): w for j, w in atoms}, signed=signed)
+    j = np.flatnonzero(vec)
+    charge(f"a measure of {len(j)} atoms", len(j) * ATOM_ARRAY_BYTES)
+    g = np.gcd(j, K)
+    return _measure(_summed((j // g, K // g, vec[j])), signed)
 
 
 def _push(src: np.ndarray, d: int, out: np.ndarray) -> None:
@@ -305,15 +365,29 @@ def _push(src: np.ndarray, d: int, out: np.ndarray) -> None:
         out[:, cols] = src.reshape(rows, g, Kp).sum(axis=1)
 
 
+def moments(nu: AtomicMeasure, ks: list[int]) -> list[complex]:
+    """The moments sum_z nu({z}) z^k for each k in ks, each summed in (den, num) order.
+
+    The phase (k num mod den)/den is reduced in exact integers before cos/sin.
+    The sums run in Python over the atom arrays read once as lists: a numpy
+    pass per k costs some ten array calls, several times what the few-atom
+    measures of the state evaluations take in all.
+    """
+    nums, dens, ws = (a.tolist() for a in nu._atoms)
+    out = []
+    for k in ks:
+        re = im = 0.0
+        for j, d, w in zip(nums, dens, ws):
+            theta = 2.0 * pi * (k * j % d) / d
+            re += w * cos(theta)
+            im += w * sin(theta)
+        out.append(complex(re, im))
+    return out
+
+
 def fourier(nu: AtomicMeasure, k: int) -> complex:
     """Moment sum_z nu({z}) z^k with the phase reduced exactly before cos/sin."""
-    re = im = 0.0
-    for z, w in nu.atoms().items():
-        phase = (k * z.num) % z.den
-        theta = 2.0 * pi * phase / z.den
-        re += w * cos(theta)
-        im += w * sin(theta)
-    return complex(re, im)
+    return moments(nu, [k])[0]
 
 
 @dataclass(frozen=True)
@@ -386,10 +460,8 @@ def restrict(nu: AtomicMeasure, k: int) -> AtomicMeasure:
     """Keep exactly the atoms whose order divides k."""
     if k < 1:
         raise ValueError(f"restrict requires k >= 1, got {k}")
-    return AtomicMeasure(
-        {z: w for z, w in nu.atoms().items() if k % z.den == 0},
-        signed=nu.signed,
-    )
+    num, den, w = nu._atoms
+    return _measure((num, den, np.where(_divides(den, k), w, 0.0)), nu.signed)
 
 
 def extremal_measure(n: int, beta: float) -> AtomicMeasure:
@@ -400,17 +472,11 @@ def extremal_measure(n: int, beta: float) -> AtomicMeasure:
     """
     if n < 1:
         raise ValueError(f"extremal_measure requires n >= 1, got {n}")
-    charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_BYTES)
+    charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_ARRAY_BYTES)
     scale = float(n) ** -beta
-    acc: dict[RootOfUnity, float] = {}
-    for d in divisors(n):
-        w = scale * totient_beta(d, beta) / totient(d)
-        if w == 0.0:
-            continue
-        for j in range(d):
-            if gcd(j, d) == 1:
-                acc[RootOfUnity(j, d)] = w
-    return AtomicMeasure(acc)
+    # the divisors ascending, each one's roots by numerator: (den, num) order
+    parts = [_primitive_roots(d, scale * totient_beta(d, beta) / totient(d)) for d in divisors(n)]
+    return _measure(tuple(np.concatenate(col) for col in zip(*parts)), False)
 
 
 class NotSubconformalError(ValueError):
@@ -451,36 +517,32 @@ def decompose(nu: AtomicMeasure, beta: float, tol: float = 1e-9) -> dict[int, fl
         raise ValueError(f"decompose requires 0 < beta <= 1, got {beta}")
     if nu.signed or nu.min_weight() < 0:
         raise ValueError("decompose requires a non-negative measure")
-    L = nu.support_level()
-    primitive_mass: dict[int, float] = {}
-    by_order: dict[int, list[RootOfUnity]] = {}
-    for z, w in nu.atoms().items():
-        primitive_mass[z.den] = primitive_mass.get(z.den, 0.0) + w
-        by_order.setdefault(z.den, []).append(z)
-    shares = {d: m / totient(d) for d, m in primitive_mass.items()}
-    # orders in order of first appearance, roots by numerator; an absent root
-    # deviates by the whole share, so only the first absent one can be the witness
-    deviations = []
-    for d, zs in by_order.items():
-        devs = [(z.num, abs(nu.weight(z) - shares[d])) for z in zs]
-        if len(zs) < totient(d):
-            nums = {z.num for z in zs}
-            absent = next(j for j in range(d) if gcd(j, d) == 1 and j not in nums)
-            devs.append((absent, abs(shares[d])))
-        deviations += [(dev, RootOfUnity(j, d)) for j, dev in sorted(devs)]
-    dev, z = max(deviations, key=lambda t: t[0], default=(0.0, ONE))
+    num, den, w = nu._atoms
+    orders, group = np.unique(den, return_inverse=True)
+    mass = np.bincount(group, weights=w)
+    phis = np.array([totient(d) for d in orders.tolist()])
+    shares = mass / phis
+    # the witness is the first largest deviation in (den, num) order; an absent
+    # root deviates by the whole share, so only the first absent one of an order counts
+    devs = np.abs(w - shares[group])
+    short = np.flatnonzero(np.bincount(group) < phis)
+    dev = max(devs.max(initial=0.0), np.abs(shares[short]).max(initial=0.0))
     if dev > tol:
-        raise NotOrbitInvariantError(z, nu.weight(z), shares[z.den])
-    out: dict[int, float] = {}
-    for n in divisors(L):
-        lam = 0.0
-        for d in divisors(L // n):
-            m = primitive_mass.get(n * d, 0.0)
-            if m != 0.0:
-                lam += mobius(d) * m / totient_beta(n * d, beta)
-        lam *= float(n) ** beta
-        if abs(lam) > 1e-12:
-            out[n] = lam
+        found = [(int(den[i]), int(num[i])) for i in np.flatnonzero(devs == dev)[:1]]
+        for o in short[np.abs(shares[short]) == dev][:1].tolist():
+            d, present = int(orders[o]), set(num[group == o].tolist())
+            found.append((d, next(j for j in range(d) if gcd(j, d) == 1 and j not in present)))
+        d, j = min(found)
+        z = RootOfUnity(j, d)
+        raise NotOrbitInvariantError(z, nu.weight(z), float(shares[np.searchsorted(orders, d)]))
+    # each lambda_n adds its terms over the orders e = n d ascending, as the orders come
+    lams: dict[int, float] = {}
+    for e, m in zip(orders.tolist(), mass.tolist()):
+        if m != 0.0:
+            for n in divisors(e):
+                lams[n] = lams.get(n, 0.0) + mobius(e // n) * m / totient_beta(e, beta)
+    out = {n: lam * float(n) ** beta for n, lam in sorted(lams.items())}
+    out = {n: lam for n, lam in out.items() if abs(lam) > 1e-12}
     bad = [n for n, lam in out.items() if lam < -tol]
     if bad:
         worst = min(bad, key=lambda n: out[n])
@@ -523,21 +585,23 @@ def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
     """
     if beta <= 1:
         raise ValueError(f"t_beta_exact_root requires beta > 1, got {beta}")
-    charge(f"t_beta_exact_root at order {z.den}", z.den * ATOM_BYTES)
-    weights, _ = residue_weights(z.den, beta)
-    total = fsum(weights)
-    return AtomicMeasure({z.pow(r): w / total for r, w in enumerate(weights)})
+    q = z.den
+    charge(f"t_beta_exact_root at order {q}", q * ATOM_ARRAY_BYTES)
+    weights, _ = residue_weights(q, beta)
+    vec = np.empty(q)
+    vec[np.arange(q) * z.num % q] = np.array(weights) / fsum(weights)
+    return _from_level_vector(vec, q, False)
 
 
 # --- JSON schema: {"level": K, "signed": bool, "atoms": [{"num","den","weight"}]} ---
 
 
 def measure_to_dict(nu: AtomicMeasure) -> dict:
-    atoms = sorted(nu.atoms().items(), key=lambda kv: (kv[0].den, kv[0].num))
+    atoms = zip(*(a.tolist() for a in nu._atoms))
     return {
         "level": nu.support_level(),
         "signed": nu.signed,
-        "atoms": [{"num": z.num, "den": z.den, "weight": w} for z, w in atoms],
+        "atoms": [{"num": j, "den": d, "weight": w} for j, d, w in atoms],
     }
 
 
@@ -556,11 +620,3 @@ def measure_from_dict(data: Mapping) -> AtomicMeasure:
         signed=bool(data.get("signed", False)),
         level=None if level is None else operator.index(level),
     )
-
-
-def measure_to_json(nu: AtomicMeasure) -> str:
-    return json.dumps(measure_to_dict(nu), sort_keys=True)
-
-
-def measure_from_json(text: str) -> AtomicMeasure:
-    return measure_from_dict(json.loads(text))

@@ -25,6 +25,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .arith import (
+    RESIDUE_BYTES,
     PrimeSet,
     charge,
     checked_mul,
@@ -46,14 +47,12 @@ from .algebra import (
     unitary_power,
 )
 from .measures import (
-    ATOM_BYTES,
     AtomicMeasure,
     RootOfUnity,
     dirac,
     fourier,
+    moments,
     root,
-    t_beta_exact_root,
-    tv_distance,
 )
 
 
@@ -273,11 +272,10 @@ def _series_moment(eta: AtomicMeasure, k: int, beta: float) -> tuple[complex, fl
     q = K // gcd(K, k)
     weights, err = residue_weights(q, beta)
     acc = 0j
-    for r, w in enumerate(weights):
-        acc += w * fourier(eta, k * r)
+    for w, moment in zip(weights, moments(eta, [k * r for r in range(q)])):
+        acc += w * moment
     total = fsum(weights)
-    variation = sum(abs(w) for w in eta.atoms().values())
-    return acc / total, 2.0 * variation * err / (total - err)
+    return acc / total, 2.0 * eta.variation() * err / (total - err)
 
 
 def eval_element(spec: StateSpec, elem: AlgebraElement) -> StateValue:
@@ -402,18 +400,20 @@ def limit_beta1(z: RootOfUnity, betas: list[float]) -> list[tuple[float, float]]
 
     For each beta in the given (descending toward 1) list, the distance of
     T_beta delta_z from the uniform measure on the order-n roots; the trend
-    is monotone non-increasing as beta decreases to 1.  Raises
-    :class:`RangeError` up front when the n-atom measures would exceed
-    ``ARRAY_BYTES_LIMIT`` bytes: the uniform measure, one image and the key
-    sets of the distance, 700-820 B per root at tracemalloc's peak.
+    is monotone non-increasing as beta decreases to 1.  The image puts
+    w[r] / sum(w) on z^r, w the residue-class sums (see
+    :func:`affkms.measures.t_beta_exact_root`), so the distance is
+    sum_r |w[r] / sum(w) - 1/n|, added in r order.  Raises
+    :class:`RangeError` up front when the n class sums would exceed
+    ``ARRAY_BYTES_LIMIT`` bytes.
     """
     n = z.den
-    charge(f"limit_beta1 at order {n}", n * 3 * ATOM_BYTES)
-    uniform = AtomicMeasure({z.pow(k): 1.0 / n for k in range(1, n + 1)})
+    charge(f"limit_beta1 at order {n}", n * RESIDUE_BYTES)
     rows = []
     for beta in betas:
-        m = t_beta_exact_root(z, beta)
-        rows.append((beta, tv_distance(m, uniform)))
+        weights, _ = residue_weights(n, beta)
+        total = fsum(weights)
+        rows.append((beta, sum(abs(w / total - 1.0 / n) for w in weights)))
     return rows
 
 

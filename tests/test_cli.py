@@ -4,12 +4,12 @@ import warnings
 
 import pytest
 
-from affkms import asymptotics, cli
+from affkms import asymptotics, cli, measures
 from affkms.cli import main
-from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
+from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_dict, root
 
 # measure files that the parser must refuse: non-finite weights, non-integer fields,
-# levels below 1
+# levels below 1, orders beyond int64
 MALFORMED_MEASURES = {
     "nan-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": NaN}]}',
     "infinite-weight": '{"level": 2, "atoms": [{"num": 1, "den": 2, "weight": Infinity}]}',
@@ -17,6 +17,7 @@ MALFORMED_MEASURES = {
     "float-root": '{"atoms": [{"num": 1.7, "den": 2.2, "weight": 1.0}]}',
     "zero-level": '{"level": 0, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
     "negative-level": '{"level": -6, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
+    "order-beyond-int64": '{"atoms": [{"num": 1, "den": 9223372036854775808, "weight": 1.0}]}',
 }
 
 
@@ -34,7 +35,7 @@ def run(capsys):
 def measure_file(tmp_path):
     def _write(nu, name="m.json"):
         path = tmp_path / name
-        path.write_text(measure_to_json(nu))
+        path.write_text(json.dumps(measure_to_dict(nu), sort_keys=True))
         return str(path)
 
     return _write
@@ -141,6 +142,14 @@ class TestDecompose:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: bad measure schema")
+
+    def test_order_beyond_int64_named(self, run, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(MALFORMED_MEASURES["order-beyond-int64"])
+        code, out, err = run("decompose", "--beta", "1.0", "--measure", str(path))
+        assert (code, out) == (1, "")
+        assert err.endswith("atom 1/9223372036854775808 has order 9223372036854775808, "
+                            "beyond the 64-bit range\n")
 
     def test_malformed_json_reports_position(self, run, tmp_path):
         bad = tmp_path / "bad.json"
@@ -249,12 +258,31 @@ class TestMeasureCommands:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "extremal_measure(10000000)" in err and "MiB" in err
 
-    def test_failed_solve_guard_exits_2(self, run):
+    def test_failed_solve_guard_exits_2(self, run, monkeypatch):
+        # a push that drops half its mass once makes the solve fail its residual check
+        push, calls = measures._push, []
+
+        def lossy(src, d, out):
+            push(src, d, out)
+            if not calls:
+                out *= 0.5
+            calls.append(d)
+
+        monkeypatch.setattr(measures, "_push", lossy)
         code, out, err = run("extremal-measure", "--route", "inverse", "--n", "840",
-                             "--beta", "0.001")
+                             "--beta", "0.7")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("violation:")
+        assert err.count("\n") == 1 and err.startswith("violation: A_inv solve residual")
+
+    def test_inverse_route_at_small_beta(self, run):
+        code, out, err = run("extremal-measure", "--route", "inverse", "--n", "840",
+                             "--beta", "0.001")
+        assert (code, err) == (0, "")
+        got = {(a["num"], a["den"]): a["weight"] for a in json.loads(out)["atoms"]}
+        want = extremal_measure(840, 0.001).atoms()
+        assert set(got) == {(z.num, z.den) for z in want}
+        assert max(abs(got[z.num, z.den] - w) for z, w in want.items()) <= 1e-13
 
     def test_pushforward(self, run, measure_file):
         path = measure_file(epsilon(12))

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from affkms.cli import main
-from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_json, root
+from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_dict, root
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -137,17 +137,21 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
 }
 
 
+def measure_json(nu: AtomicMeasure) -> str:
+    return json.dumps(measure_to_dict(nu), sort_keys=True)
+
+
 def write_inputs(tmp: Path) -> None:
     """The measure and moment files the cases read."""
     files = {
-        "ext6.json": measure_to_json(extremal_measure(6, 0.7)),
-        "eps4.json": measure_to_json(epsilon(4)),
-        "one.json": measure_to_json(dirac(root(0, 1))),
-        "half.json": measure_to_json(dirac(root(1, 2))),
-        "mix.json": measure_to_json(
+        "ext6.json": measure_json(extremal_measure(6, 0.7)),
+        "eps4.json": measure_json(epsilon(4)),
+        "one.json": measure_json(dirac(root(0, 1))),
+        "half.json": measure_json(dirac(root(1, 2))),
+        "mix.json": measure_json(
             extremal_measure(2, 0.7).scaled(0.3).plus(extremal_measure(15, 0.7).scaled(0.7))
         ),
-        "noninv.json": measure_to_json(AtomicMeasure({root(0, 1): 0.7316, root(3, 5): 0.2684})),
+        "noninv.json": measure_json(AtomicMeasure({root(0, 1): 0.7316, root(3, 5): 0.2684})),
         "malformed.json": '{"level": 2,\n  "atoms": [}',
         "schema.json": '{"atoms": [{"num": 1}]}',
         "moments.json": '{"0": 1.0, "1": [0.25, 0.0], "-1": 0.25}',

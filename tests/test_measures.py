@@ -25,7 +25,7 @@ from affkms.arith import (
     zeta,
 )
 from affkms.measures import (
-    ATOM_BYTES,
+    ATOM_ARRAY_BYTES,
     PUSH_BYTES,
     T_BETA_ROOT_BYTES,
     T_BETA_TERM_BYTES,
@@ -44,8 +44,9 @@ from affkms.measures import (
     extremal_measure,
     fourier,
     max_atom_diff,
-    measure_from_json,
-    measure_to_json,
+    measure_from_dict,
+    measure_to_dict,
+    moments,
     pushforward,
     restrict,
     root,
@@ -104,6 +105,207 @@ def rand_signed_measure(rng, level=24, n_atoms=6):
         num = rng.choice([j for j in range(den) if gcd(j, den) == 1])
         atoms[RootOfUnity(num, den)] = rng.uniform(-1, 1)
     return AtomicMeasure(atoms, signed=True)
+
+
+# --- the dict representation that the atom arrays replaced, kept as the oracle ---
+
+
+class DictMeasure:
+    """The former AtomicMeasure: a dict of RootOfUnity keys in insertion order."""
+
+    def __init__(self, atoms=(), *, signed=False, level=None):
+        acc: dict[RootOfUnity, float] = {}
+        for z, w in atoms.items() if isinstance(atoms, dict) else atoms:
+            if w == 0.0:
+                continue
+            acc[z] = acc.get(z, 0.0) + w
+        if level is not None and (level < 1 or any(level % z.den for z in acc)):
+            raise ValueError(f"atoms do not live on the level-{level} roots")
+        self._atoms, self.signed, self._level = acc, signed, level
+
+    def atoms(self):
+        return dict(self._atoms)
+
+    def weight(self, z):
+        return self._atoms.get(z, 0.0)
+
+    def mass(self):
+        return sum(self._atoms.values())
+
+    def min_weight(self):
+        return min(self._atoms.values(), default=0.0)
+
+    def support_level(self):
+        return self._level or math.lcm(1, *(z.den for z in self._atoms))
+
+    def scaled(self, c):
+        return DictMeasure({z: c * w for z, w in self._atoms.items()},
+                           signed=self.signed or c < 0, level=self._level)
+
+    def plus(self, other):
+        acc = self.atoms()
+        for z, w in other._atoms.items():
+            acc[z] = acc.get(z, 0.0) + w
+        return DictMeasure(acc, signed=self.signed or other.signed)
+
+    def __len__(self):
+        return len(self._atoms)
+
+
+def in_order(roots):
+    """Roots in (den, num) order, the order the atom arrays keep."""
+    return sorted(roots, key=lambda z: (z.den, z.num))
+
+
+def dict_tv_distance(mu, nu):
+    """sum |mu - nu| over the union of the atoms, added in (den, num) order."""
+    return sum(abs(mu.weight(z) - nu.weight(z)) for z in in_order(set(mu.atoms()) | set(nu.atoms())))
+
+
+def dict_max_atom_diff(mu, nu):
+    keys = set(mu.atoms()) | set(nu.atoms())
+    return max((abs(mu.weight(z) - nu.weight(z)) for z in keys), default=0.0)
+
+
+def dict_restrict(nu, k):
+    return DictMeasure({z: w for z, w in nu.atoms().items() if k % z.den == 0}, signed=nu.signed)
+
+
+def dict_fourier(nu, k):
+    re = im = 0.0
+    for z, w in nu.atoms().items():
+        theta = 2.0 * math.pi * ((k * z.num) % z.den) / z.den
+        re += w * math.cos(theta)
+        im += w * math.sin(theta)
+    return complex(re, im)
+
+
+def dict_measure_to_dict(nu):
+    atoms = [(z, nu.weight(z)) for z in in_order(nu.atoms())]
+    return {"level": nu.support_level(), "signed": nu.signed,
+            "atoms": [{"num": z.num, "den": z.den, "weight": w} for z, w in atoms]}
+
+
+def dict_decompose(nu, beta, tol=1e-9):
+    """decompose over a dict of atoms, one root at a time."""
+    L = nu.support_level()
+    primitive_mass: dict[int, float] = {}
+    by_order: dict[int, list[RootOfUnity]] = {}
+    for z, w in nu.atoms().items():
+        primitive_mass[z.den] = primitive_mass.get(z.den, 0.0) + w
+        by_order.setdefault(z.den, []).append(z)
+    shares = {d: m / totient(d) for d, m in primitive_mass.items()}
+    deviations = []
+    for d, zs in by_order.items():
+        devs = [(z.num, abs(nu.weight(z) - shares[d])) for z in zs]
+        if len(zs) < totient(d):
+            nums = {z.num for z in zs}
+            devs.append((next(j for j in range(d) if gcd(j, d) == 1 and j not in nums), abs(shares[d])))
+        deviations += [(dev, RootOfUnity(j, d)) for j, dev in sorted(devs)]
+    dev, z = max(deviations, key=lambda t: t[0], default=(0.0, ONE))
+    if dev > tol:
+        raise NotOrbitInvariantError(z, nu.weight(z), shares[z.den])
+    out: dict[int, float] = {}
+    for n in divisors(L):
+        lam = 0.0
+        for d in divisors(L // n):
+            m = primitive_mass.get(n * d, 0.0)
+            if m != 0.0:
+                lam += mobius(d) * m / totient_beta(n * d, beta)
+        lam *= float(n) ** beta
+        if abs(lam) > 1e-12:
+            out[n] = lam
+    bad = [n for n, lam in out.items() if lam < -tol]
+    if bad:
+        raise NotSubconformalError(out, min(bad, key=lambda n: out[n]))
+    return out
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.sampled_from([0.25, -0.25, 5e-324, 1e-300]))
+
+
+@st.composite
+def atom_lists(draw, weights=WEIGHTS, levels=None):
+    """Pairs (root, weight) on the K-th roots in (den, num) order, with repeated roots and
+    zero weights; a stable sort keeps the given order of a repeated root's weights."""
+    K = draw(LEVELS if levels is None else levels)
+    pool = draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=12))
+    return sorted(((root(j, K), w) for j, w in pairs), key=lambda p: (p[0].den, p[0].num))
+
+
+def same(got, want):
+    """Equal to the last bit, the sign of zero included."""
+    return repr(got) == repr(want)
+
+
+def items(nu):
+    return [(z, repr(w)) for z, w in nu.atoms().items()]
+
+
+def outcome(decompose_fn, nu, beta):
+    try:
+        return "coefficients", {n: repr(c) for n, c in decompose_fn(nu, beta).items()}
+    except NotOrbitInvariantError as err:
+        return "orbit", err.atom, repr(err.weight), repr(err.expected)
+    except NotSubconformalError as err:
+        return "negative", err.witness_n, {n: repr(c) for n, c in err.coefficients.items()}
+
+
+class TestArraysAgainstDictOracle:
+    """The atom arrays against the dict measure, bit for bit, on atoms given in (den, num) order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(atom_lists(), atom_lists(), st.floats(-2.0, 2.0), st.integers(1, 800),
+           st.one_of(st.integers(-1000, 1000), st.integers(2**62, 2**70)))
+    def test_operations(self, a, b, c, k, moment):
+        A, B = AtomicMeasure(a, signed=True), AtomicMeasure(b, signed=True)
+        DA, DB = DictMeasure(a, signed=True), DictMeasure(b, signed=True)
+        assert items(A) == items(DA)
+        assert len(A) == len(DA)
+        assert same(A.mass(), DA.mass()) and same(A.min_weight(), DA.min_weight())
+        assert same(A.variation(), sum(abs(w) for w in DA.atoms().values()))
+        assert A.support_level() == DA.support_level()
+        assert all(same(A.weight(z), DA.weight(z)) for z, _ in a + b)
+        assert items(A.scaled(c)) == items(DA.scaled(c))
+        assert dict(items(A.plus(B))) == dict(items(DA.plus(DB)))
+        assert items(restrict(A, k)) == items(dict_restrict(DA, k))
+        assert same(fourier(A, moment), dict_fourier(DA, moment))
+        assert same(tv_distance(A, B), dict_tv_distance(DA, DB))
+        assert same(max_atom_diff(A, B), dict_max_atom_diff(DA, DB))
+
+    def test_moments_of_many_exponents(self):
+        rng = random.Random(41)
+        pairs = sorted(((root(rng.randrange(997), 997), rng.uniform(-1, 1)) for _ in range(300)),
+                       key=lambda p: (p[0].den, p[0].num))
+        ks = list(range(-250, 250))
+        oracle = DictMeasure(pairs)
+        got = moments(AtomicMeasure(pairs, signed=True), ks)
+        assert all(same(m, dict_fourier(oracle, k)) for m, k in zip(got, ks, strict=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(atom_lists(), st.booleans())
+    def test_json_schema_round_trip(self, a, signed):
+        nu = AtomicMeasure(a, signed=signed)
+        doc = measure_to_dict(nu)
+        assert doc == dict_measure_to_dict(DictMeasure(a, signed=signed))
+        back = measure_from_dict(json.loads(json.dumps(doc, sort_keys=True)))
+        # an atom whose weights summed to 0 is written, and dropped when read like any weight 0
+        kept = [(z, w) for z, w in items(nu) if float(w) != 0.0]
+        assert (items(back), back.signed, back.support_level()) == (kept, signed, doc["level"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 5, 12, 30, 60]), st.sampled_from([0.3, 0.7, 1.0]), st.booleans(),
+           st.data())
+    def test_decompose(self, L, beta, invariant, data):
+        if invariant:
+            pairs = list(orbit_invariant_mixture(data, L, beta).atoms().items())
+        else:
+            # few distinct weights, so that ties between deviations are common
+            weights = st.sampled_from([0.05, 0.1, 0.25])
+            pairs = data.draw(atom_lists(weights, st.just(L)))
+        nu = AtomicMeasure(pairs)
+        assert outcome(decompose, nu, beta) == outcome(dict_decompose, DictMeasure(pairs), beta)
 
 
 class TestRootOfUnity:
@@ -224,9 +426,9 @@ class TestApplyAInv:
             apply_A_inv(epsilon(2), 2, 0.0)
 
     def test_atom_guard_refuses_over_the_limit(self):
-        # K output atoms and eight 8-byte words per root are charged before allocating
+        # K output atoms and five 8-byte words per root are charged before allocating
         assert apply_A_inv(epsilon(1), 1, 0.5, level=4097).atoms() == {ONE: 1.0}
-        k_max = ARRAY_BYTES_LIMIT // (ATOM_BYTES + 64)
+        k_max = ARRAY_BYTES_LIMIT // (ATOM_ARRAY_BYTES + 40)
         assert apply_A_inv(epsilon(1), 1, 0.5, level=k_max).atoms() == {ONE: 1.0}
         with pytest.raises(RangeError, match=rf"K = {k_max + 1} needs 128 MiB, over the 128 MiB"):
             apply_A_inv(epsilon(1), 1, 0.5, level=k_max + 1)
@@ -235,9 +437,24 @@ class TestApplyAInv:
         with pytest.raises(ValueError, match="2\\^-beta rounds to 1"):
             apply_A_inv(epsilon(6), 6, 1e-17)
 
-    def test_residual_guard_refuses_tiny_beta(self):
-        with pytest.raises(RuntimeError, match=r"A_inv solve residual 2.08e-07 exceeds 1e-9"):
-            apply_A_inv(epsilon(840), 840, 0.001, level=840)
+    @pytest.mark.parametrize("beta", [0.0009, 0.001, 0.0011])
+    def test_tiny_beta_matches_the_closed_form(self, beta):
+        # |mu|_1 is about 4e11 here: the residual of about 1e-7 is 1e-20 of the bound's scale
+        assert max_atom_diff(normalized_inverse(840, beta), extremal_measure(840, beta)) <= 1e-13
+
+    def test_residual_guard_refuses_a_lossy_solve(self, monkeypatch):
+        # the first push of the solve drops half its mass; the check's pushes are exact
+        push, calls = measures._push, []
+
+        def lossy(src, d, out):
+            push(src, d, out)
+            if not calls:
+                out *= 0.5
+            calls.append(d)
+
+        monkeypatch.setattr(measures, "_push", lossy)
+        with pytest.raises(RuntimeError, match=r"A_inv solve residual .* exceeds"):
+            apply_A_inv(epsilon(840), 840, 0.7, level=840)
 
 
 def dense_A_inv(nu, n, beta, K):
@@ -468,8 +685,20 @@ class TestLevelGuards:
             apply_A_inv(self.HUGE, 6, 0.7)
 
     def test_huge_level_is_not_orbit_invariant(self):
-        with pytest.raises(NotOrbitInvariantError):
+        with pytest.raises(NotOrbitInvariantError) as err:
             decompose(self.HUGE, 0.7)
+        # the order-1000003 atom deviates most: its share 0.5 / 1000002 is the smaller
+        assert (err.value.atom, err.value.weight) == (root(1, 1000003), 0.5)
+
+    def test_huge_level_reads_its_two_atoms(self):
+        # mass, moments, restriction and distances never build the level-K roots
+        nu, oracle = self.HUGE, DictMeasure(self.HUGE.atoms())
+        assert (nu.support_level(), nu.mass()) == (self.HUGE_K, 1.0)
+        for k in (1, 999983, self.HUGE_K + 5, -(10**30)):
+            assert same(fourier(nu, k), dict_fourier(oracle, k))
+        half = restrict(nu, 1000003)
+        assert half.atoms() == {root(1, 1000003): 0.5}
+        assert (tv_distance(nu, half), max_atom_diff(nu, half)) == (0.5, 0.5)
 
     @pytest.mark.parametrize("op, per_root, fixed", [
         (lambda nu: pushforward(nu, 4), PUSH_BYTES, 0),
@@ -492,13 +721,30 @@ class TestLevelGuards:
 
     def test_image_atoms_charged_before_they_are_built(self, monkeypatch):
         # the 997 atoms of the image cost more than the vectors that hold them
-        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 500 * ATOM_BYTES)
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 900 * ATOM_ARRAY_BYTES)
         with pytest.raises(RangeError, match=r"a measure of 997 atoms needs"):
             t_beta(AtomicMeasure({root(5, 997): 1.0}), 2.0, 1000)
 
     def test_exact_root_image_refused_at_huge_order(self):
         with pytest.raises(RangeError, match=r"t_beta_exact_root at order 999999937 needs"):
             t_beta_exact_root(root(1, 999999937), 2.0)
+
+
+class TestInt64Orders:
+    """Atom orders are int64: 2^63 - 1 is the largest an atom may have."""
+
+    def test_order_two_to_the_63_refused(self):
+        with pytest.raises(RangeError, match=r"atom 1/9223372036854775808 has order 9223372036854775808"):
+            AtomicMeasure({ONE: 0.5, RootOfUnity(1, 2**63): 0.5})
+
+    def test_largest_order_exact(self):
+        z = RootOfUnity(2**62, 2**63 - 1)
+        nu = AtomicMeasure({ONE: 0.25, z: 0.75})
+        assert (nu.weight(z), nu.weight(RootOfUnity(1, 2**64)), nu.support_level()) == (0.75, 0.0, 2**63 - 1)
+        for k in (3, 2**62 + 1, -(2**70)):
+            assert same(fourier(nu, k), dict_fourier(DictMeasure(nu.atoms()), k))
+        assert restrict(nu, 2**64 - 2).atoms() == nu.atoms()
+        assert restrict(nu, 2**64).atoms() == {ONE: 0.25}
 
 
 class TestInverseAgainstClosedForm:
@@ -555,11 +801,11 @@ class TestInverseAgainstClosedForm:
 
 class TestAtomGuard:
     def test_epsilon_refused_at_ten_million(self):
-        with pytest.raises(RangeError, match=r"epsilon\(10000000\) with 4000000 atoms needs 1099 MiB"):
+        with pytest.raises(RangeError, match=r"epsilon\(10000000\) with 4000000 atoms needs 687 MiB"):
             epsilon(10**7)
 
     def test_extremal_measure_refused_at_ten_million(self):
-        with pytest.raises(RangeError, match=r"extremal_measure\(10000000\) .* 2747 MiB"):
+        with pytest.raises(RangeError, match=r"extremal_measure\(10000000\) .* 687 MiB"):
             extremal_measure(10**7, 0.7)
 
 
@@ -886,7 +1132,7 @@ class TestOrbitCheck:
         assert (err.value.atom, err.value.weight, err.value.expected) == (root(1, 5), 0.0, 0.05)
 
     def test_large_prime_order_without_enumerating_its_roots(self):
-        # epsilon(999983) alone would need 275 MiB
+        # epsilon(999983) alone would be 999982 atoms
         nu = AtomicMeasure({ONE: 0.5, root(1, 999983): 0.5})
         with pytest.raises(NotOrbitInvariantError) as err:
             decompose(nu, 0.7)
@@ -1029,6 +1275,8 @@ MALFORMED_MEASURES = {
     "zero-level": ('{"level": 0, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}', ValueError),
     "negative-level": ('{"level": -6, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
                        ValueError),
+    "order-beyond-int64": ('{"atoms": [{"num": 1, "den": 9223372036854775808, "weight": 1.0}]}',
+                           RangeError),
 }
 
 
@@ -1037,14 +1285,14 @@ class TestSerialization:
     def test_malformed_measure_rejected(self, case):
         text, error = MALFORMED_MEASURES[case]
         with pytest.raises(error):
-            measure_from_json(text)
+            measure_from_dict(json.loads(text))
 
     def test_roundtrip_bit_exact(self):
         nu = AtomicMeasure(
             {root(1, 3): 0.1 + 0.2, root(5, 7): -1.75, ONE: 1e-17}, signed=True
         )
-        text = measure_to_json(nu)
-        back = measure_from_json(text)
+        text = json.dumps(measure_to_dict(nu), sort_keys=True)
+        back = measure_from_dict(json.loads(text))
         assert back.signed == nu.signed
         for z, w in nu.atoms().items():
             assert back.weight(z) == w  # floats survive repr round trip exactly

@@ -15,6 +15,8 @@ from affkms.measures import (
     fourier,
     root,
     t_beta,
+    t_beta_exact_root,
+    tv_distance,
 )
 from affkms.states import (
     FiniteN,
@@ -327,6 +329,16 @@ class TestBetaLimit:
         rows = limit_beta1(root(1, 4), betas)
         dists = [d for _, d in rows]
         assert all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("n", [4, 12, 97, 360])
+    def test_class_sums_match_the_measure_route(self, n):
+        # the same n terms |w[r] / sum(w) - 1/n|, added in r order and in (den, num) order
+        z = root(1, n)
+        uniform = AtomicMeasure({z.pow(k): 1.0 / n for k in range(n)})
+        betas = [1.5, 1.01, 1.0001]
+        for beta, dist in limit_beta1(z, betas):
+            via_measures = tv_distance(t_beta_exact_root(z, beta), uniform)
+            assert abs(dist - via_measures) <= n * 2.0**-53 * dist
 
     def test_huge_order_refused_before_any_atom_is_built(self):
         with pytest.raises(RangeError, match=r"limit_beta1 at order 999999937 needs"):
