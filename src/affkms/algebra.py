@@ -15,7 +15,6 @@ identities rely on for exact equality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping
@@ -136,9 +135,6 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement({adjoint(m): c.conjugate() for m, c in self._terms.items()})
 
-    def cleanup(self, tol: float = 1e-14) -> "AlgebraElement":
-        return AlgebraElement({m: c for m, c in self._terms.items() if abs(c) > tol})
-
     def has_integer_coeffs(self) -> bool:
         return all(
             c.imag == 0.0 and float(c.real).is_integer() for c in self._terms.values()
@@ -159,10 +155,6 @@ class AlgebraElement:
     def __repr__(self):
         parts = [f"({c.real:g}{c.imag:+g}j)*{m}" for m, c in sorted(self._terms.items())]
         return " + ".join(parts) if parts else "0"
-
-
-def isometry(a: int) -> AlgebraElement:
-    return AlgebraElement.monomial(Monomial(a, 0, 1))
 
 
 def unitary_power(k: int) -> AlgebraElement:
@@ -222,31 +214,3 @@ def spectra_project(p: SpectrumPoint, a: int, b: int) -> SpectrumPoint:
     g = gcd(a, p.d)
     return SpectrumPoint(p.z.pow(p.d // g), g)
 
-
-# --- JSON: a list of {a, k, b, re, im} records, sorted for determinism ---
-
-
-def element_to_dict(x: AlgebraElement) -> list[dict]:
-    return [
-        {"a": m.a, "k": m.k, "b": m.b, "re": c.real, "im": c.imag}
-        for m, c in sorted(x.terms().items())
-    ]
-
-
-def element_from_dict(records: Iterable[Mapping]) -> AlgebraElement:
-    return AlgebraElement(
-        {
-            Monomial(int(r["a"]), int(r["k"]), int(r["b"])): complex(
-                float(r["re"]), float(r["im"])
-            )
-            for r in records
-        }
-    )
-
-
-def element_to_json(x: AlgebraElement) -> str:
-    return json.dumps(element_to_dict(x), sort_keys=True)
-
-
-def element_from_json(text: str) -> AlgebraElement:
-    return element_from_dict(json.loads(text))

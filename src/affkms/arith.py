@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -210,7 +210,6 @@ class PrimeSet:
     """A finite sorted set of distinct primes."""
 
     primes: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         ps = self.primes
@@ -221,16 +220,16 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
-    def of(cls, primes: Iterable[int], label: str | None = None) -> "PrimeSet":
-        return cls(tuple(sorted(set(primes))), label)
+    def of(cls, primes: Iterable[int]) -> "PrimeSet":
+        return cls(tuple(sorted(set(primes))))
 
     @classmethod
     def first_n(cls, n: int) -> "PrimeSet":
-        return cls(tuple(first_primes(n)), f"first {n} primes")
+        return cls(tuple(first_primes(n)))
 
     @classmethod
     def dividing(cls, n: int) -> "PrimeSet":
-        return cls(factorize(n).prime_divisors(), f"primes dividing {n}")
+        return cls(factorize(n).prime_divisors())
 
     def __iter__(self):
         return iter(self.primes)

@@ -457,8 +457,7 @@ def mertens_product(x: int) -> MertensResult:
 class SequenceSpec:
     """A bounded sequence of values in [0,1] over the positive integers."""
 
-    def __init__(self, tag: str, fn: Callable[[int], float]):
-        self.tag = tag
+    def __init__(self, fn: Callable[[int], float]):
         self._fn = fn
 
     def value(self, m: int) -> float:
@@ -469,19 +468,19 @@ class SequenceSpec:
 
     @classmethod
     def const_one(cls) -> "SequenceSpec":
-        return cls("const-one", lambda m: 1.0)
+        return cls(lambda m: 1.0)
 
     @classmethod
     def const_zero(cls) -> "SequenceSpec":
-        return cls("const-zero", lambda m: 0.0)
+        return cls(lambda m: 0.0)
 
     @classmethod
     def prime_indicator(cls) -> "SequenceSpec":
-        return cls("primes", lambda m: 1.0 if is_prime(m) else 0.0)
+        return cls(lambda m: 1.0 if is_prime(m) else 0.0)
 
     @classmethod
     def square_indicator(cls) -> "SequenceSpec":
-        return cls("squares", lambda m: 1.0 if math.isqrt(m) ** 2 == m else 0.0)
+        return cls(lambda m: 1.0 if math.isqrt(m) ** 2 == m else 0.0)
 
     @classmethod
     def custom(cls, values: Sequence[float]) -> "SequenceSpec":
@@ -490,7 +489,7 @@ class SequenceSpec:
         def fn(m: int) -> float:
             return vals[m - 1] if 1 <= m <= len(vals) else 0.0
 
-        return cls("custom", fn)
+        return cls(fn)
 
 
 class SmoothSum(NamedTuple):

@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import fields
 from typing import NamedTuple
 
 from . import acceptance
@@ -26,6 +27,7 @@ from .measures import (
     AtomicMeasure,
     NotOrbitInvariantError,
     NotSubconformalError,
+    RootOfUnity,
     check_subconformal,
     decompose,
     epsilon,
@@ -223,17 +225,12 @@ def _state_for(text: str, command: str, classes: tuple[type, ...]):
 
 def _describe_spec(spec) -> dict:
     doc = {"kind": type(spec).__name__}
-    for field in ("n", "m", "level", "beta"):
-        if hasattr(spec, field):
-            doc[field] = getattr(spec, field)
-    if hasattr(spec, "zeta"):
-        doc["zeta"] = str(spec.zeta)
-    if hasattr(spec, "chi"):
-        doc["chi"] = str(spec.chi)
-    if hasattr(spec, "nu"):
-        doc["measure_level"] = spec.nu.support_level()
-    if hasattr(spec, "eta"):
-        doc["measure_level"] = spec.eta.support_level()
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, AtomicMeasure):
+            doc["measure_level"] = value.support_level()
+        else:
+            doc[field.name] = str(value) if isinstance(value, RootOfUnity) else value
     return doc
 
 
@@ -247,7 +244,10 @@ def _describe_monomial(x) -> dict:
 
 
 def _state_report(spec, x) -> Report:
-    sv = eval_state(spec, x)
+    try:
+        sv = eval_state(spec, x)
+    except TypeError as err:  # a monomial of the kind the family does not take
+        raise UsageError(str(err)) from None
     doc = {
         "spec": _describe_spec(spec),
         "monomial": _describe_monomial(x),

@@ -157,9 +157,6 @@ class AtomicMeasure:
             return self._level
         return lcm(*set(self._atoms[1].tolist()))
 
-    def is_probability(self, tol: float = 1e-10) -> bool:
-        return abs(self.mass() - 1.0) <= tol and self.min_weight() >= -tol
-
     def scaled(self, c: float) -> "AtomicMeasure":
         num, den, w = self._atoms
         return _measure((num, den, c * w), self.signed or c < 0, self._level)

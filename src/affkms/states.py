@@ -12,6 +12,12 @@ the k-th moment of the extremal measure of index c = n/gcd(n,k).
 Series-backed variants (the low-temperature ones) sum the c^-beta series
 exactly by residue class and always report the propagated remainder bound
 alongside the value; there are no hidden convergence claims.
+
+A quotient or Q/Z spec evaluates as its integer twin (its `twin`, built once
+at construction) on the exponent of the monomial at its modulus:
+Quotient(n, m) as FiniteN(m), QZSubgroup(L, m) as FiniteN(L/m), since
+ord(m k/L) = (L/m)/gcd(L/m, k), and QuotientChar(n, zeta) and QZChar(L, chi)
+as the LowTemp state of the point mass at zeta or chi.
 """
 
 from __future__ import annotations
@@ -60,6 +66,11 @@ def _check_beta(beta: float, low: float, high: float | None, variant: str) -> No
     if beta < low or (high is not None and beta > high):
         rng = f"[{low}, {'inf' if high is None else high}]"
         raise ValueError(f"{variant} requires beta in {rng}, got {beta}")
+
+
+def _check_divisor_index(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"divisor index m must be >= 1, got {m}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,11 @@ class Quotient:
     beta: float
 
     def __post_init__(self):
+        _check_divisor_index(self.m)
         if self.n < 1 or self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must divide n = {self.n}")
         _check_beta(self.beta, 0.0, 1.0, "Quotient")
+        object.__setattr__(self, "twin", FiniteN(self.m, self.beta))
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,7 @@ class QuotientChar:
             raise ValueError(f"order of {self.zeta} must divide n = {self.n}")
         if self.beta <= 1:
             raise ValueError(f"QuotientChar requires beta > 1, got {self.beta}")
+        object.__setattr__(self, "twin", LowTemp(dirac(self.zeta), self.beta))
 
 
 @dataclass(frozen=True)
@@ -146,9 +160,11 @@ class QZSubgroup:
     beta: float
 
     def __post_init__(self):
+        _check_divisor_index(self.m)
         if self.level < 1 or self.level % self.m != 0:
             raise ValueError(f"m = {self.m} must divide the level {self.level}")
         _check_beta(self.beta, 0.0, 1.0, "QZSubgroup")
+        object.__setattr__(self, "twin", FiniteN(self.level // self.m, self.beta))
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,7 @@ class QZChar:
             raise ValueError(f"order of {self.chi} must divide the level {self.level}")
         if self.beta <= 1:
             raise ValueError(f"QZChar requires beta > 1, got {self.beta}")
+        object.__setattr__(self, "twin", LowTemp(dirac(self.chi), self.beta))
 
 
 StateSpec = Union[FiniteN, LebesgueInf, FromMeasure, LowTemp, Quotient, QuotientChar, QZSubgroup, QZChar]
@@ -215,6 +232,7 @@ def eval_state(spec: StateSpec, x: Monomial | QZMonomial) -> StateValue:
         if not isinstance(x, Monomial):
             raise TypeError(f"{type(spec).__name__} expects an integer monomial, got {type(x).__name__}")
         a, k, b = x.a, x.k, x.b
+        twin = spec
     else:
         if isinstance(x, QZMonomial):
             a, b = x.a, x.b
@@ -224,39 +242,21 @@ def eval_state(spec: StateSpec, x: Monomial | QZMonomial) -> StateValue:
             a, k, b = x.a, x.k, x.b
         else:
             raise TypeError(f"{type(spec).__name__} expects a Q/Z monomial, got {type(x).__name__}")
+        twin = spec.twin
 
     if a != b:
-        return StateValue(0j, 0.0 if _is_series(spec) else None)
-    apow = float(a) ** -spec.beta
+        return StateValue(0j, 0.0 if isinstance(twin, LowTemp) else None)
+    apow = float(a) ** -twin.beta
 
-    if isinstance(spec, FiniteN):
-        c = spec.n // gcd(spec.n, k)
-        return StateValue(complex(apow * h_beta(c, spec.beta)), None)
-    if isinstance(spec, LebesgueInf):
+    if isinstance(twin, FiniteN):
+        c = twin.n // gcd(twin.n, k)
+        return StateValue(complex(apow * h_beta(c, twin.beta)), None)
+    if isinstance(twin, LebesgueInf):
         return StateValue(complex(apow if k == 0 else 0.0), None)
-    if isinstance(spec, FromMeasure):
-        return StateValue(apow * fourier(spec.nu, k), None)
-    if isinstance(spec, LowTemp):
-        val, tail = _series_moment(spec.eta, k, spec.beta)
-        return StateValue(apow * val, apow * tail)
-    if isinstance(spec, Quotient):
-        c = spec.m // gcd(spec.m, k)
-        return StateValue(complex(apow * h_beta(c, spec.beta)), None)
-    if isinstance(spec, QuotientChar):
-        val, tail = _series_moment(dirac(spec.zeta), k, spec.beta)
-        return StateValue(apow * val, apow * tail)
-    if isinstance(spec, QZSubgroup):
-        q = x.x.den
-        c = q // gcd(q, spec.m)
-        return StateValue(complex(apow * h_beta(c, spec.beta)), None)
-    if isinstance(spec, QZChar):
-        val, tail = _series_moment(dirac(spec.chi), k, spec.beta)
-        return StateValue(apow * val, apow * tail)
-    raise TypeError(f"unknown state spec {spec!r}")
-
-
-def _is_series(spec: StateSpec) -> bool:
-    return isinstance(spec, (LowTemp, QuotientChar, QZChar))
+    if isinstance(twin, FromMeasure):
+        return StateValue(apow * fourier(twin.nu, k), None)
+    val, tail = _series_moment(twin.eta, k, twin.beta)  # LowTemp
+    return StateValue(apow * val, apow * tail)
 
 
 def _series_moment(eta: AtomicMeasure, k: int, beta: float) -> tuple[complex, float]:
@@ -281,7 +281,7 @@ def _series_moment(eta: AtomicMeasure, k: int, beta: float) -> tuple[complex, fl
 def eval_element(spec: StateSpec, elem: AlgebraElement) -> StateValue:
     """Linear extension to finite combinations; tails accumulate with |coefficient|."""
     acc = 0j
-    tail: float | None = 0.0 if _is_series(spec) else None
+    tail: float | None = 0.0 if isinstance(getattr(spec, "twin", spec), LowTemp) else None
     for m, c in elem.terms().items():
         sv = eval_state(spec, m)
         acc += c * sv.value
@@ -478,18 +478,21 @@ def coherence_sweep(
 ) -> tuple[float, tuple[int, int, QZMonomial] | None, int]:
     """Largest :func:`qz_coherence` gap over `count` random monomials for every
     subgroup divisor m (all divisors of the level unless `ms` is given) and
-    every n | level, with the (m, n, x) that attains it and the number of checks."""
+    every n | level, with the (m, n, x) that attains it and the number of checks.
+    Both states are built once per (m, n), not once per monomial."""
     worst, witness, checks = 0.0, None, 0
     for m in divisors(level) if ms is None else ms:
+        _check_divisor_index(m)
         if level % m != 0:
             raise ValueError(f"subgroup divisor {m} does not divide the level {level}")
+        sub = QZSubgroup(level, m, beta)
         for n in divisors(level):
+            quo = Quotient(n, n // gcd(m, n), beta)
             for _ in range(count):
                 q = rng.choice(divisors(n))
                 num = rng.choice([j for j in range(q) if gcd(j, q) == 1])
                 x = QZMonomial(rng.randint(1, 8), root(num, q), rng.randint(1, 8))
-                lhs, rhs = qz_coherence(level, m, n, beta, x)
-                gap = abs(lhs - rhs)
+                gap = abs(eval_state(sub, x).value - eval_state(quo, x).value)
                 checks += 1
                 if gap > worst:
                     worst, witness = gap, (m, n, x)

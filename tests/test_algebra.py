@@ -1,4 +1,3 @@
-import json
 import random
 from math import gcd, lcm
 
@@ -12,8 +11,6 @@ from affkms.algebra import (
     SpectrumPoint,
     adjoint,
     alpha,
-    element_from_json,
-    element_to_json,
     mono_mul,
     projection_eF,
     projection_eab,
@@ -130,12 +127,6 @@ class TestElementOps:
         m = Monomial(2, 3, 5)
         x = AlgebraElement({m: 1 + 2j})
         assert x.adjoint().coeff(adjoint(m)) == 1 - 2j
-
-    def test_cleanup_prunes_only_on_request(self):
-        m = Monomial(2, 0, 2)
-        x = AlgebraElement({m: 1e-16})
-        assert len(x) == 1
-        assert len(x.cleanup()) == 0
 
     def test_associativity_of_element_product(self):
         rng = random.Random(41)
@@ -255,11 +246,3 @@ class TestSpectraProject:
         with pytest.raises(ValueError):
             spectra_project(SpectrumPoint(root(1, 5), 5), 2, 6)
 
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        x = AlgebraElement({Monomial(2, -1, 3): 1.5 - 0.25j, Monomial(1, 0, 1): 2.0})
-        text = element_to_json(x)
-        records = json.loads(text)
-        assert all(set(r) == {"a", "k", "b", "re", "im"} for r in records)
-        assert element_from_json(text).equals(x)

@@ -76,6 +76,26 @@ class TestEvalState:
         assert code == 0
         assert json.loads(out)["value"]["re"] == pytest.approx(3**-0.7)
 
+    @pytest.mark.parametrize("argv, message", [
+        ("eval-state --state finite:n=2,beta=1 --monomial 1,1/2,1",
+         "FiniteN expects an integer monomial, got QZMonomial"),
+        ("eval-state --state lowtemp:beta=2,file=EPS4 --monomial 1,1/2,1",
+         "LowTemp expects an integer monomial, got QZMonomial"),
+        ("eval-state --state qz:level=12,m=4,beta=0.7 --monomial 1,1,1",
+         "QZSubgroup expects a Q/Z monomial, got Monomial"),
+        ("eval-state --state qz-char:level=12,chi=1/4,beta=1.5 --monomial 1,1,1",
+         "QZChar expects a Q/Z monomial, got Monomial"),
+        ("eval-state --state qz:level=12,m=-4,beta=0.5 --monomial 1,1/3,1",
+         "bad state 'qz:level=12,m=-4,beta=0.5': divisor index m must be >= 1, got -4"),
+        ("quotient-eval --n 6 --m 0 --beta 0.5 --monomial 1,1,1",
+         "divisor index m must be >= 1, got 0"),
+        ("qz-coherence --level 12 --beta 0.5 --subgroup 0",
+         "divisor index m must be >= 1, got 0"),
+    ])
+    def test_refused_input_exits_1_with_one_line(self, run, measure_file, argv, message):
+        argv = argv.replace("EPS4", measure_file(epsilon(4)))
+        assert run(*argv.split()) == (1, "", f"error: {message}\n")
+
     def test_unknown_state_kind_is_usage_error(self, run):
         code, _, err = run("eval-state", "--state", "bogus:beta=1", "--monomial", "1,0,1")
         assert code == 1

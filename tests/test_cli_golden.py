@@ -52,6 +52,14 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("eval-missing-file", f"eval-state --state measure:beta=0.5,file={MISSING} --monomial 1,1,1", {}),
         ("eval-bad-monomial", "eval-state --state finite:n=2,beta=1 --monomial 1,2", {}),
         ("eval-format-csv", "eval-state --state finite:n=2,beta=1 --monomial 1,1,1 --format csv", {}),
+        ("eval-finite-qz-monomial", "eval-state --state finite:n=2,beta=1 --monomial 1,1/2,1", {}),
+        ("eval-lowtemp-qz-monomial", "eval-state --state lowtemp:beta=2,file=<TMP>/eps4.json --monomial 1,1/2,1", {}),
+        ("eval-qz-integer-monomial", "eval-state --state qz:level=12,m=4,beta=0.7 --monomial 1,1,1", {}),
+        ("eval-qz-char-integer-monomial", "eval-state --state qz-char:level=12,chi=1/4,beta=1.5 --monomial 1,1,1", {}),
+        ("eval-quotient-m-zero", "eval-state --state quotient:n=6,m=0,beta=0.5 --monomial 1,1,1", {}),
+        ("eval-quotient-m-negative", "eval-state --state quotient:n=6,m=-2,beta=0.5 --monomial 1,1,1", {}),
+        ("eval-qz-m-zero", "eval-state --state qz:level=12,m=0,beta=0.5 --monomial 1,1/3,1", {}),
+        ("eval-qz-m-negative", "eval-state --state qz:level=12,m=-4,beta=0.5 --monomial 1,1/3,1", {}),
         ("kms-finite", "kms-check --state finite:n=6,beta=0.8 --pairs 50 --seed 42", {}),
         ("kms-measure", f"kms-check --state measure:beta=0.7,file={EXT6} --pairs 30", {}),
         ("kms-lebesgue-env-seed", "kms-check --state lebesgue:beta=1 --pairs 20", {"AFFKMS_SEED": "3"}),
@@ -95,9 +103,11 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("quotient-subgroup-alias", "quotient-eval --n 6 --subgroup 2 --beta 0.5 --monomial 1,1,1", {}),
         ("quotient-character", "quotient-eval --n 6 --zeta 1/3 --beta 2 --monomial 1,2,1", {}),
         ("quotient-needs-m-or-zeta", "quotient-eval --n 6 --beta 0.5 --monomial 1,1,1", {}),
+        ("quotient-m-zero", "quotient-eval --n 6 --m 0 --beta 0.5 --monomial 1,1,1", {}),
         ("qz-coherence", "qz-coherence --level 12 --beta 0.7 --count 5 --seed 9", {}),
         ("qz-coherence-subgroup", "qz-coherence --level 12 --beta 0.5 --subgroup 4 --count 3", {}),
         ("qz-coherence-bad-subgroup", "qz-coherence --level 12 --beta 0.5 --subgroup 5 --count 3", {}),
+        ("qz-coherence-subgroup-zero", "qz-coherence --level 12 --beta 0.5 --subgroup 0 --count 3", {}),
         ("reconstruct-finite", "reconstruct --state finite:n=4,beta=0.9 --f 2,3 --k 2 --truncation 10000", {}),
         ("reconstruct-measure", f"reconstruct --state measure:beta=0.7,file={EXT6} --f 2 --k 1 --truncation 1000", {}),
         ("reconstruct-wrong-kind", "reconstruct --state lebesgue:beta=0.8 --f 2 --k 1", {}),

@@ -3,7 +3,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affkms import states
 from affkms.arith import PrimeSet, RangeError, divisors, partial_zeta, smooth_numbers
 from affkms.algebra import AlgebraElement, Monomial, alpha, projection_eF
 from affkms.measures import (
@@ -28,9 +31,13 @@ from affkms.states import (
     QZSubgroup,
     Quotient,
     QuotientChar,
+    _qz_exponent,
+    _series_moment,
     apply_kappa,
+    coherence_sweep,
     eval_element,
     eval_state,
+    h_beta,
     kms_residual,
     limit_beta1,
     qz_coherence,
@@ -40,6 +47,45 @@ from affkms.states import (
     weak_star_gap,
     witness_element,
 )
+
+
+def oracle_eval_state(spec, x):
+    """eval_state with one value branch per family, each quotient and Q/Z family by its
+    own formula and with its point mass built per call: the route the twins replace."""
+    if isinstance(spec, (FiniteN, LebesgueInf, FromMeasure, LowTemp)):
+        if not isinstance(x, Monomial):
+            raise TypeError(f"{type(spec).__name__} expects an integer monomial, got {type(x).__name__}")
+        a, k, b = x.a, x.k, x.b
+    else:
+        if isinstance(x, QZMonomial):
+            a, b = x.a, x.b
+            n_mod = spec.n if isinstance(spec, (Quotient, QuotientChar)) else spec.level
+            k = _qz_exponent(x.x, n_mod)
+        elif isinstance(x, Monomial) and isinstance(spec, (Quotient, QuotientChar)):
+            a, k, b = x.a, x.k, x.b
+        else:
+            raise TypeError(f"{type(spec).__name__} expects a Q/Z monomial, got {type(x).__name__}")
+
+    if a != b:
+        return 0j, 0.0 if isinstance(spec, (LowTemp, QuotientChar, QZChar)) else None
+    apow = float(a) ** -spec.beta
+    if isinstance(spec, FiniteN):
+        return complex(apow * h_beta(spec.n // gcd(spec.n, k), spec.beta)), None
+    if isinstance(spec, LebesgueInf):
+        return complex(apow if k == 0 else 0.0), None
+    if isinstance(spec, FromMeasure):
+        return apow * fourier(spec.nu, k), None
+    if isinstance(spec, Quotient):
+        return complex(apow * h_beta(spec.m // gcd(spec.m, k), spec.beta)), None
+    if isinstance(spec, QZSubgroup):
+        q = x.x.den
+        return complex(apow * h_beta(q // gcd(q, spec.m), spec.beta)), None
+    if isinstance(spec, LowTemp):
+        eta = spec.eta
+    else:
+        eta = dirac(spec.zeta if isinstance(spec, QuotientChar) else spec.chi)
+    val, tail = _series_moment(eta, k, spec.beta)
+    return apow * val, apow * tail
 
 
 def rand_monomial(rng, hi=20, khi=15):
@@ -114,6 +160,100 @@ class TestEvalGuards:
             QuotientChar(6, root(1, 6), 0.9)
         with pytest.raises(ValueError):
             QZSubgroup(6, 4, 0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda m: Quotient(6, m, 0.5),
+        lambda m: QZSubgroup(12, m, 0.5),
+        lambda m: coherence_sweep(12, 0.5, 3, random.Random(1), [m]),
+    ], ids=["Quotient", "QZSubgroup", "coherence_sweep"])
+    @pytest.mark.parametrize("m", [0, -2, -4])
+    def test_divisor_index_below_one_refused(self, make, m):
+        with pytest.raises(ValueError, match=rf"^divisor index m must be >= 1, got {m}$"):
+            make(m)
+
+
+def _bits(value, tail):
+    return value.real.hex(), value.imag.hex(), None if tail is None else tail.hex()
+
+
+FAMILIES = ("finite", "lebesgue", "measure", "lowtemp", "quotient", "quotient-char", "qz", "qz-char")
+
+
+@st.composite
+def spec_and_monomial(draw, family):
+    """A spec of the family at a random modulus L and a monomial; most draws give a
+    monomial of a kind the family takes, a = b and a circle point of order dividing L."""
+    L = draw(st.integers(1, 360))
+    m = draw(st.sampled_from(divisors(L)))
+
+    def circle_point(q):
+        return root(draw(st.sampled_from([j for j in range(q) if gcd(j, q) == 1])), q)
+
+    def point_of_order_dividing(n):
+        return circle_point(draw(st.sampled_from(divisors(n))))
+
+    low = draw(st.floats(0.0, 1.0))
+    high = draw(st.floats(1.05, 4.0))
+    if family in ("measure", "lowtemp"):
+        count = draw(st.integers(1, 3))
+        nu = AtomicMeasure({point_of_order_dividing(L): draw(st.floats(0.05, 1.0)) for _ in range(count)})
+    spec = {
+        "finite": lambda: FiniteN(L, low),
+        "lebesgue": lambda: LebesgueInf(low),
+        "measure": lambda: FromMeasure(nu, low),
+        "lowtemp": lambda: LowTemp(nu, high),
+        "quotient": lambda: Quotient(L, m, low),
+        "quotient-char": lambda: QuotientChar(L, point_of_order_dividing(L), high),
+        "qz": lambda: QZSubgroup(L, m, low),
+        "qz-char": lambda: QZChar(L, point_of_order_dividing(L), high),
+    }[family]()
+    a = draw(st.integers(1, 6))
+    b = draw(st.sampled_from([a, a, a, draw(st.integers(1, 6))]))
+    integer = family in FAMILIES[:4]
+    if family in ("quotient", "quotient-char"):
+        integer = draw(st.booleans())
+    elif draw(st.sampled_from([False, False, False, True])):
+        integer = not integer  # a kind the family does not take
+    if integer:
+        return spec, Monomial(a, draw(st.integers(-2 * L, 2 * L)), b)
+    q = draw(st.sampled_from([draw(st.sampled_from(divisors(L)))] * 3 + [draw(st.integers(1, 2 * L))]))
+    return spec, QZMonomial(a, circle_point(q), b)
+
+
+class TestTwinRoute:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_family_oracle_bit_for_bit(self, family, data):
+        spec, x = data.draw(spec_and_monomial(family))
+        try:
+            want = oracle_eval_state(spec, x)
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err)) as got:
+                eval_state(spec, x)
+            assert str(got.value) == str(err)
+            return
+        got = eval_state(spec, x)
+        assert _bits(got.value, got.tail) == _bits(*want)
+
+    def test_point_mass_built_once_per_spec(self, monkeypatch):
+        cases = [
+            (QuotientChar(12, root(5, 12), 1.5), Monomial(2, 3, 2)),
+            (QuotientChar(12, root(1, 4), 2.0), QZMonomial(1, root(1, 6), 1)),
+            (QZChar(12, root(1, 4), 1.5), QZMonomial(1, root(1, 3), 1)),
+        ]
+        calls = []
+        monkeypatch.setattr(states, "dirac", lambda z: calls.append(z) or dirac(z))
+        for spec, x in cases:
+            first, second = eval_state(spec, x), eval_state(spec, x)
+            assert first == second
+        assert calls == []
+
+    def test_series_flag_of_elements_follows_the_twin(self):
+        e = projection_eF(PrimeSet.of([2]))
+        assert eval_element(QuotientChar(6, root(1, 3), 2.0), e).tail is not None
+        assert eval_element(Quotient(6, 2, 0.5), e).tail is None
+        assert eval_element(QuotientChar(6, root(1, 3), 2.0), AlgebraElement()).tail == 0.0
 
 
 class TestKMSIdentity:
@@ -388,6 +528,10 @@ class TestQuotientStates:
             x = QZMonomial(rng.randint(1, 10), root(num, q), rng.randint(1, 10))
             lhs, rhs = qz_coherence(N, m, n, 0.7, x)
             assert abs(lhs - rhs) < 1e-12
+
+    def test_sweep_refuses_a_beta_above_one_before_any_check(self):
+        with pytest.raises(ValueError, match="QZSubgroup requires beta in"):
+            coherence_sweep(12, 1.5, 0, random.Random(1))
 
     def test_quotient_char_matches_low_temp_on_integer_monomials(self):
         # the modulus-n character state at zeta agrees with the point-mass
