@@ -50,12 +50,12 @@ from .states import (
 from .asymptotics import (
     EULER_GAMMA,
     SequenceSpec,
+    density_sum,
     dickman,
     dickman_mass,
     mertens_product,
     psi_count_table,
     psi_counts,
-    smooth_harmonic_sum,
     wiener_sum,
 )
 
@@ -309,10 +309,7 @@ def criterion_15() -> tuple[bool, str]:
 def criterion_16() -> tuple[bool, str]:
     """Vanishing-sum trends at C = 1e7 over n_primes = 3..10."""
     C = 10**7
-    prime_vals = [
-        smooth_harmonic_sum(n, SequenceSpec.prime_indicator(), C).value
-        for n in range(3, 11)
-    ]
+    prime_vals = [v for _, v in density_sum(SequenceSpec.prime_indicator(), 10, C)]
     if not all(a > b for a, b in zip(prime_vals, prime_vals[1:])):
         return False, f"prime-indicator sums not decreasing: {prime_vals}"
     # density 1 + cos/2: moments supported on {-1, 0, 1} with quarter weights
@@ -396,4 +393,8 @@ def run_all(
     for n in numbers:
         if n not in _CRITERIA:
             raise ValueError(f"unknown criterion {n}; valid: {list(ALL_CRITERIA)}")
+    if corrupt is not None and corrupt != 3:
+        raise ValueError(f"only criterion 3 has a seeded corruption, got {corrupt}")
+    if corrupt == 3 and 3 not in numbers:
+        raise ValueError(f"corrupting criterion 3 needs it among the criteria run, got {numbers}")
     return [run_criterion(n, corrupt == n) for n in numbers]

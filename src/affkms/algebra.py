@@ -23,7 +23,7 @@ from .arith import INT64_MAX, PrimeSet, RangeError, checked_mul, divisors, mobiu
 from .measures import RootOfUnity
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Monomial:
     """V_a U^k V_b^* with isometry indices a, b >= 1 and integer unitary power k."""
 
@@ -61,24 +61,33 @@ def sigma_ibeta_factor(x: Monomial, beta: float) -> float:
     return (x.a / x.b) ** -beta
 
 
+def _accumulate(acc: dict[Monomial, complex], pairs: Iterable[tuple[Monomial, complex]]) -> dict:
+    """Add the (monomial, coefficient) pairs into acc in order, dropping every sum that reaches 0."""
+    get = acc.get
+    for m, c in pairs:
+        nc = get(m, 0j) + c
+        if nc:
+            acc[m] = nc
+        else:
+            acc.pop(m, None)
+    return acc
+
+
 class AlgebraElement:
     """Finite complex-linear combination of monomials (zero coefficients never stored)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, complex] | Iterable[tuple[Monomial, complex]] = ()):
-        acc: dict[Monomial, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
-            c = complex(c)
-            if c == 0:
-                continue
-            nc = acc.get(m, 0j) + c
-            if nc == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = nc
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _accumulate({}, [(m, complex(c)) for m, c in items]))
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, complex]) -> "AlgebraElement":
+        """The element of an already accumulated term dict, which it takes over."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
@@ -105,14 +114,7 @@ class AlgebraElement:
         return len(self._terms)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        acc = self.terms()
-        for m, c in other._terms.items():
-            nc = acc.get(m, 0j) + c
-            if nc == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = nc
-        return AlgebraElement(acc)
+        return AlgebraElement._of(_accumulate(self.terms(), other._terms.items()))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
@@ -121,16 +123,10 @@ class AlgebraElement:
         return AlgebraElement({m: c * w for m, w in self._terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        acc: dict[Monomial, complex] = {}
-        for mx, cx in self._terms.items():
-            for my, cy in other._terms.items():
-                m = mono_mul(mx, my)
-                nc = acc.get(m, 0j) + cx * cy
-                if nc == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = nc
-        return AlgebraElement(acc)
+        # a generator: a list would hold all len(self) * len(other) products at once
+        ys = other._terms.items()
+        pairs = ((mono_mul(mx, my), cx * cy) for mx, cx in self._terms.items() for my, cy in ys)
+        return AlgebraElement._of(_accumulate({}, pairs))
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement({adjoint(m): c.conjugate() for m, c in self._terms.items()})

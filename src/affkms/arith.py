@@ -260,12 +260,8 @@ def smooth_array(F: PrimeSet, bound: int) -> np.ndarray:
         part = monoid[monoid <= bound // p]
         while part.size:
             size += part.size
-            if size * SMOOTH_BYTES > ARRAY_BYTES_LIMIT:
-                raise RangeError(
-                    f"smooth_numbers of {len(F)} primes up to {bound} lists more than {size} "
-                    f"integers ({size * SMOOTH_BYTES / 2**20:.0f} MiB), "
-                    f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-                )
+            charge(f"smooth_numbers of {len(F)} primes up to {bound} lists more than {size} integers and",
+                   size * SMOOTH_BYTES)
             part = part * p
             parts.append(part)
             part = part[part <= bound // p]

@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import arith
 from .arith import (
-    ARRAY_BYTES_LIMIT,
     PrimeSet,
     RangeError,
     first_primes,
@@ -110,23 +110,21 @@ class _Buchstab:
     are <= T < 2^31.
     """
 
-    def __init__(self, k: int, where: str, cells: int):
+    def __init__(self, k: int, what: str, cells: int):
         self.primes = prime_array()
         self.squares = self.primes * self.primes
         self.k = k
-        self.where = where
+        self.what = what
         self.cells = cells  # int32 cells the table may take
         self.held = 0  # int64 elements alive outside the array being built
 
     def _reserve(self, n: int) -> None:
         need = 8 * (self.held + n)
-        if need > ARRAY_BYTES_LIMIT:
-            if need - 8 * self.table_held <= ARRAY_BYTES_LIMIT:
-                raise _Crowded
-            raise RangeError(
-                f"psi_count at {self.where} needs a working set of {need / 2**20:.0f} MiB, "
-                f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-            )
+        arith.charge(self.what, need - 8 * self.table_held)  # a refusal the table does not explain
+        try:
+            arith.charge(self.what, need)
+        except RangeError:
+            raise _Crowded from None
 
     def _rows(self, top: int) -> int:
         """min(k + 1, pi(top)) rows, and at least the row of p_0 = 2, which also serves x <= 1."""
@@ -204,7 +202,8 @@ class _Buchstab:
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         kept = self.squares.size  # and the table, and the recorded bands: keys, partial counts, child counts
-        self.top = self._table_top(int(xs.max()), min(self.cells, ARRAY_BYTES_LIMIT // 8 - kept))
+        budget = min(self.cells, arith.ARRAY_BYTES_LIMIT // 8 - kept)
+        self.top = self._table_top(int(xs.max()), budget)
         self.table = self._table(self.top)
         self.table_held = self.table.nbytes // 8
         kept += self.table_held
@@ -274,12 +273,12 @@ def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
     k = len(primes_up_to(y)) - 1
     if not xs:
         return np.zeros(0, dtype=np.int64)
-    where = f"x = {max(xs)}, y = {y}"
+    what = f"psi_count at x = {max(xs)}, y = {y}"
     xs = np.array(xs, dtype=np.int64)
     try:
-        return _Buchstab(k, where, _TABLE_CELLS).run(xs)
+        return _Buchstab(k, what, _TABLE_CELLS).run(xs)
     except _Crowded:
-        return _Buchstab(k, where, 0).run(xs)
+        return _Buchstab(k, what, 0).run(xs)
 
 
 def psi_count(x: int, y: int) -> int:
@@ -301,12 +300,7 @@ def psi_count_table(xmax: int, y: int) -> np.ndarray:
     if y < 2:
         raise ValueError(f"psi_count_table requires y >= 2, got {y}")
     ps = primes_up_to(y)
-    size = 9 * (xmax + 1)  # the int64 table, and one bool mask while it is summed
-    if size > ARRAY_BYTES_LIMIT:
-        raise RangeError(
-            f"psi_count_table up to xmax = {xmax} needs {size / 2**20:.0f} MiB, "
-            f"over the {ARRAY_BYTES_LIMIT // 2**20} MiB limit"
-        )
+    arith.charge(f"psi_count_table up to xmax = {xmax}", 9 * (xmax + 1))  # int64 table, bool mask
     rem = np.arange(xmax + 1, dtype=np.int64)
     for p in ps:
         if p > xmax:
@@ -516,9 +510,7 @@ def smooth_harmonic_sum(n_primes: int, a: SequenceSpec, C: int) -> SmoothSum:
 
 
 def density_sum(J: SequenceSpec, n_primes: int, C: int) -> list[tuple[int, float]]:
-    """Trend rows (n, scaled smooth sum of the indicator) for n = 3 .. n_primes."""
-    if n_primes < 3:
-        raise ValueError("density_sum reports the trend from n = 3 upward")
+    """Trend rows (n, scaled smooth sum of the indicator) for n = 3 .. n_primes (none below 3)."""
     return [(n, smooth_harmonic_sum(n, J, C).value) for n in range(3, n_primes + 1)]
 
 

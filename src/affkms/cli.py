@@ -63,6 +63,7 @@ from .states import (
 from .asymptotics import (
     SequenceSpec,
     delta_estimate,
+    density_sum,
     dickman,
     dickman_mass,
     mertens_product,
@@ -456,10 +457,7 @@ def cmd_smooth_sum(args):
         value, share = smooth_harmonic_sum(args.n_primes, seq, args.c)
         return Report({"sequence": args.sequence, "n_primes": args.n_primes, "c": args.c,
                        "value": value, "truncation_share": share})
-    rows = [
-        (n, smooth_harmonic_sum(n, seq, args.c).value, "decreasing")
-        for n in range(3, args.n_primes + 1)
-    ]
+    rows = [(n, v, "decreasing") for n, v in density_sum(seq, args.n_primes, args.c)]
     return Report({"sequence": args.sequence,
                    "rows": [{"n_primes": n, "value": v} for n, v, _ in rows]},
                   table=(("n_primes", "value", "trend"), rows))
@@ -663,7 +661,7 @@ COMMANDS = {
     "self-test": (cmd_self_test, "run the acceptance suite", (), [
         _arg("--criteria", default=None, help="comma-separated criterion numbers"),
         _arg("--corrupt", type=int, default=None,
-             help="inject a seeded corruption into the given criterion (harness test)"),
+             help="inject the seeded corruption of criterion 3, the only value (harness test)"),
     ]),
 }
 

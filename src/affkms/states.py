@@ -219,10 +219,14 @@ def h_beta(c: int, beta: float) -> float:
     return float(c) ** -beta * s
 
 
-def _qz_exponent(x: RootOfUnity, n: int) -> int:
-    """Integer k with x = k/n in Q/Z (requires ord(x) | n)."""
+def _qz_exponent(spec: StateSpec, x: RootOfUnity) -> int:
+    """Integer k with x = k/N in Q/Z, N the spec's modulus n or level (requires ord(x) | N)."""
+    if isinstance(spec, (Quotient, QuotientChar)):
+        n, name = spec.n, f"n = {spec.n}"
+    else:
+        n, name = spec.level, f"the level {spec.level}"
     if n % x.den != 0:
-        raise ValueError(f"order of {x} does not divide the level {n}")
+        raise ValueError(f"order of {x} does not divide {name}")
     return x.num * (n // x.den)
 
 
@@ -236,8 +240,7 @@ def eval_state(spec: StateSpec, x: Monomial | QZMonomial) -> StateValue:
     else:
         if isinstance(x, QZMonomial):
             a, b = x.a, x.b
-            n_mod = spec.n if isinstance(spec, (Quotient, QuotientChar)) else spec.level
-            k = _qz_exponent(x.x, n_mod)
+            k = _qz_exponent(spec, x.x)
         elif isinstance(x, Monomial) and isinstance(spec, (Quotient, QuotientChar)):
             a, k, b = x.a, x.k, x.b
         else:
@@ -304,6 +307,8 @@ def kms_sweep(
 ) -> tuple[float, tuple[Monomial, Monomial] | None]:
     """Largest :func:`kms_residual` over random pairs with a, b in 1..20 and k in -15..15,
     with the pair that attains it (None when every residual is 0)."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     worst, witness = 0.0, None
     for _ in range(pairs):
         x = Monomial(rng.randint(1, 20), rng.randint(-15, 15), rng.randint(1, 20))
@@ -480,6 +485,11 @@ def coherence_sweep(
     subgroup divisor m (all divisors of the level unless `ms` is given) and
     every n | level, with the (m, n, x) that attains it and the number of checks.
     Both states are built once per (m, n), not once per monomial."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    _check_beta(beta, 0.0, 1.0, "QZSubgroup")  # the subgroup states' refusal, ahead of the count's
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     worst, witness, checks = 0.0, None, 0
     for m in divisors(level) if ms is None else ms:
         _check_divisor_index(m)

@@ -6,7 +6,7 @@ lines; ``affkms self-test`` prints the same report from the CLI.
 
 import pytest
 
-from affkms.acceptance import ALL_CRITERIA, run_criterion
+from affkms.acceptance import ALL_CRITERIA, run_all, run_criterion
 
 
 @pytest.mark.parametrize("number", ALL_CRITERIA)
@@ -23,3 +23,13 @@ def test_corruption_is_detected():
     print(result.line())
     assert not result.passed
     assert "n=2" in result.detail
+
+
+@pytest.mark.parametrize("numbers, corrupt, message", [
+    ([5], 5, "^only criterion 3 has a seeded corruption, got 5$"),
+    ([3], 0, "^only criterion 3 has a seeded corruption, got 0$"),
+    ([1], 3, r"^corrupting criterion 3 needs it among the criteria run, got \[1\]$"),
+])
+def test_a_corruption_that_corrupts_nothing_is_refused(numbers, corrupt, message):
+    with pytest.raises(ValueError, match=message):
+        run_all(numbers, corrupt=corrupt)

@@ -2,6 +2,8 @@ import random
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affkms.arith import PrimeSet, RangeError, divisors
 from affkms.algebra import (
@@ -23,6 +25,58 @@ from affkms.measures import root
 
 def rand_monomial(rng, hi=30, khi=20):
     return Monomial(rng.randint(1, hi), rng.randint(-khi, khi), rng.randint(1, hi))
+
+
+def oracle_init(items):
+    """The term dict of AlgebraElement(items) by the constructor's own former loop."""
+    acc = {}
+    for m, c in items:
+        c = complex(c)
+        if c == 0:
+            continue
+        nc = acc.get(m, 0j) + c
+        if nc == 0:
+            acc.pop(m, None)
+        else:
+            acc[m] = nc
+    return acc
+
+
+def oracle_add(x, y):
+    """x + y by the former loop, passed through the former constructor once more."""
+    acc = dict(x)
+    for m, c in y.items():
+        nc = acc.get(m, 0j) + c
+        if nc == 0:
+            acc.pop(m, None)
+        else:
+            acc[m] = nc
+    return oracle_init(acc.items())
+
+
+def oracle_mul(x, y):
+    """x * y by the former double loop, passed through the former constructor once more."""
+    acc = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            m = mono_mul(mx, my)
+            nc = acc.get(m, 0j) + cx * cy
+            if nc == 0:
+                acc.pop(m, None)
+            else:
+                acc[m] = nc
+    return oracle_init(acc.items())
+
+
+def bits(terms):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in terms.items()]
+
+
+# few monomials, so that sums collide; parts that cancel, round and carry a sign of zero
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 0.1, -0.1, 1 / 3, 3.0])
+_COEFFS = st.one_of(st.builds(complex, _PARTS, _PARTS), _PARTS, st.integers(-2, 2))
+_TERMS = st.lists(st.tuples(st.builds(Monomial, st.integers(1, 6), st.integers(-2, 2), st.integers(1, 6)),
+                            _COEFFS), max_size=12)
 
 
 class TestMonoMul:
@@ -139,6 +193,36 @@ class TestElementOps:
             ]
             x, y, z = elems
             assert ((x * y) * z).equals(x * (y * z))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TERMS, _TERMS)
+    def test_sums_and_products_match_the_former_loops(self, px, py):
+        # same keys, key order and float.hex of every coefficient part
+        x, y = AlgebraElement(px), AlgebraElement(py)
+        ox, oy = oracle_init(px), oracle_init(py)
+        assert bits(x.terms()) == bits(ox)
+        assert bits(AlgebraElement(dict(px)).terms()) == bits(oracle_init(dict(px).items()))
+        assert bits((x + y).terms()) == bits(oracle_add(ox, oy))
+        assert bits((x * y).terms()) == bits(oracle_mul(ox, oy))
+        assert bits((x - x).terms()) == []
+
+    def test_has_integer_coeffs(self):
+        m = Monomial(2, 1, 3)
+        assert AlgebraElement({m: 2, IDENTITY: -3.0}).has_integer_coeffs()
+        assert AlgebraElement().has_integer_coeffs()
+        assert not AlgebraElement({m: 2, IDENTITY: 0.5}).has_integer_coeffs()
+        assert not AlgebraElement({m: 1j}).has_integer_coeffs()
+
+    def test_equals_exact_on_integers_and_tolerant_otherwise(self):
+        m = Monomial(2, 1, 3)
+        # integer coefficients compare exactly, whatever the tolerance
+        assert not AlgebraElement({m: 1}).equals(AlgebraElement({m: 2}), tol=10.0)
+        # 0.1 + 0.2 differs from 0.3 by one rounding, inside the default tolerance
+        x, y = AlgebraElement({m: 0.1}) + AlgebraElement({m: 0.2}), AlgebraElement({m: 0.3})
+        assert x.coeff(m) != y.coeff(m)
+        assert x.equals(y)
+        assert not x.equals(y, tol=0.0)
+        assert not x.equals(AlgebraElement({m: 0.3, IDENTITY: 1e-9}))
 
 
 class TestSigmaFactor:

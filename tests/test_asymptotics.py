@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkms import asymptotics
+from affkms import arith, asymptotics
 from affkms.arith import PrimeSet, RangeError, first_primes, primes_up_to, smooth_numbers
 from affkms.asymptotics import (
     EULER_GAMMA,
@@ -363,16 +363,16 @@ class TestPsiTable:
         assert psi_count(x, y) == lucy_oracle(x, y)
 
     def test_top_of_the_range_still_refused(self):
-        with pytest.raises(RangeError, match=r"x = 1000000000000, y = 997 needs a working set of .* MiB, "
+        with pytest.raises(RangeError, match=r"x = 1000000000000, y = 997 needs .* MiB, "
                            r"over the 128 MiB limit"):
             psi_count(10**12, 997)
 
     def test_the_table_admits_what_the_recursion_alone_cannot(self, monkeypatch):
         # Psi(10^8, 100) needs 1.34 MiB without the table and 1.11 MiB with it
-        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 1_200_000)
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 1_200_000)
         assert psi_count(10**8, 100) == recursion_oracle(10**8, 100)
         monkeypatch.setattr(asymptotics, "_TABLE_CELLS", 0)
-        with pytest.raises(RangeError, match=r"x = 100000000, y = 100 needs a working set of 1 MiB"):
+        with pytest.raises(RangeError, match=r"x = 100000000, y = 100 needs 1 MiB"):
             psi_count(10**8, 100)
 
     def test_a_crowding_table_gives_way(self, monkeypatch):
@@ -387,7 +387,7 @@ class TestPsiTable:
                 super().__init__(k, where, budget)
 
         monkeypatch.setattr(asymptotics, "_Buchstab", Spy)
-        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 2**20)
         assert psi_count(9_028_064, 245) == recursion_oracle(9_028_064, 245)
         assert cells == [asymptotics._TABLE_CELLS, 0]
 
@@ -549,7 +549,7 @@ class TestPsiCount:
         assert psi_count(np.int64(100), np.int32(7)) == psi_count(100, 7)
 
     def test_working_set_refused_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 2**20)
         with pytest.raises(RangeError, match=r"x = 1000000000, y = 997 needs .* MiB, over the 1 MiB limit"):
             psi_count(10**9, 997)
         with pytest.raises(RangeError, match=r"x = 1000000000, y = 997"):
@@ -560,6 +560,19 @@ class TestPsiCount:
         # 9 * (10^8 + 1) bytes, refused before anything is allocated
         with pytest.raises(RangeError, match="xmax = 100000000 needs 858 MiB"):
             psi_count_table(10**8, 97)
+
+    def test_one_limit_moves_every_byte_refusal(self, monkeypatch):
+        # the limit has one binding, read by arith.charge at call time
+        F = PrimeSet.of(first_primes(6))
+        calls = [lambda: arith.smooth_array(F, 10**6), lambda: psi_count_table(10**4, 7),
+                 lambda: psi_count(10**9, 997)]
+        for call in calls:
+            call()
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 2**16)
+        for call in calls:
+            with pytest.raises(RangeError, match="over the 0 MiB limit"):
+                call()
+        assert not hasattr(asymptotics, "ARRAY_BYTES_LIMIT")
 
 
 class TestDickman:
@@ -690,6 +703,10 @@ class TestDensitySum:
     def test_empty_set(self):
         rows = density_sum(SequenceSpec.const_zero(), 5, 10**4)
         assert all(v == 0.0 for _, v in rows)
+
+    def test_no_rows_below_three_primes(self):
+        for n in (0, 1, 2):
+            assert density_sum(SequenceSpec.prime_indicator(), n, 10**4) == []
 
 
 class TestWienerSum:

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from affkms import asymptotics, cli, measures
+from affkms import arith, cli, measures
 from affkms.cli import main
 from affkms.measures import AtomicMeasure, dirac, epsilon, extremal_measure, measure_to_dict, root
 
@@ -91,6 +91,12 @@ class TestEvalState:
          "divisor index m must be >= 1, got 0"),
         ("qz-coherence --level 12 --beta 0.5 --subgroup 0",
          "divisor index m must be >= 1, got 0"),
+        ("kms-check --state finite:n=6,beta=0.8 --pairs -3", "pairs must be >= 1, got -3"),
+        ("qz-coherence --level 12 --beta 0.5 --count -2", "count must be >= 1, got -2"),
+        ("qz-coherence --level 0 --beta 0.5", "level must be >= 1, got 0"),
+        ("quotient-eval --n 6 --m 2 --beta 0.5 --monomial 1,1/4,1", "order of 1/4 does not divide n = 6"),
+        ("eval-state --state qz:level=12,m=4,beta=0.7 --monomial 1,1/8,1",
+         "order of 1/8 does not divide the level 12"),
     ])
     def test_refused_input_exits_1_with_one_line(self, run, measure_file, argv, message):
         argv = argv.replace("EPS4", measure_file(epsilon(4)))
@@ -465,7 +471,7 @@ class TestAsymptoticsCommands:
         assert err.endswith("over the 128 MiB limit\n")
 
     def test_psi_working_set_refused(self, run, monkeypatch):
-        monkeypatch.setattr(asymptotics, "ARRAY_BYTES_LIMIT", 2**20)
+        monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 2**20)
         code, out, err = run("psi-count", "--x", "1000000000", "--y", "997")
         assert code == 1
         assert out == ""
@@ -485,6 +491,12 @@ class TestSelfTest:
         assert code == 2
         assert "criterion 03 FAIL" in out
         assert "n=2" in out  # witness coefficient is reported
+
+    @pytest.mark.parametrize("argv", ["--criteria 5 --corrupt 5", "--criteria 1 --corrupt 3", "--corrupt 4"])
+    def test_corruption_that_corrupts_nothing_refused(self, run, argv):
+        code, out, err = run("self-test", *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_output_file(self, run, tmp_path):
         target = tmp_path / "report.json"

@@ -60,6 +60,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("eval-quotient-m-negative", "eval-state --state quotient:n=6,m=-2,beta=0.5 --monomial 1,1,1", {}),
         ("eval-qz-m-zero", "eval-state --state qz:level=12,m=0,beta=0.5 --monomial 1,1/3,1", {}),
         ("eval-qz-m-negative", "eval-state --state qz:level=12,m=-4,beta=0.5 --monomial 1,1/3,1", {}),
+        ("eval-quotient-char-order", "eval-state --state quotient-char:n=6,zeta=1/3,beta=2 --monomial 1,1/4,1", {}),
         ("kms-finite", "kms-check --state finite:n=6,beta=0.8 --pairs 50 --seed 42", {}),
         ("kms-measure", f"kms-check --state measure:beta=0.7,file={EXT6} --pairs 30", {}),
         ("kms-lebesgue-env-seed", "kms-check --state lebesgue:beta=1 --pairs 20", {"AFFKMS_SEED": "3"}),
@@ -70,6 +71,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("kms-quotient-char", "kms-check --state quotient-char:n=6,zeta=1/3,beta=2 --pairs 5", {}),
         ("kms-qz", "kms-check --state qz:level=12,m=4,beta=0.7 --pairs 3", {}),
         ("kms-qz-char", "kms-check --state qz-char:level=12,chi=1/4,beta=1.5 --pairs 3", {}),
+        ("kms-pairs-zero", "kms-check --state finite:n=6,beta=0.8 --pairs 0", {}),
         ("decompose-mixture", "decompose --beta 0.7 --measure <TMP>/mix.json", {}),
         ("decompose-not-subconformal", "decompose --beta 1.0 --measure <TMP>/half.json", {}),
         ("decompose-not-invariant", "decompose --beta 0.7 --measure <TMP>/noninv.json", {}),
@@ -104,10 +106,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("quotient-character", "quotient-eval --n 6 --zeta 1/3 --beta 2 --monomial 1,2,1", {}),
         ("quotient-needs-m-or-zeta", "quotient-eval --n 6 --beta 0.5 --monomial 1,1,1", {}),
         ("quotient-m-zero", "quotient-eval --n 6 --m 0 --beta 0.5 --monomial 1,1,1", {}),
+        ("quotient-order", "quotient-eval --n 6 --m 2 --beta 0.5 --monomial 1,1/4,1", {}),
         ("qz-coherence", "qz-coherence --level 12 --beta 0.7 --count 5 --seed 9", {}),
         ("qz-coherence-subgroup", "qz-coherence --level 12 --beta 0.5 --subgroup 4 --count 3", {}),
         ("qz-coherence-bad-subgroup", "qz-coherence --level 12 --beta 0.5 --subgroup 5 --count 3", {}),
         ("qz-coherence-subgroup-zero", "qz-coherence --level 12 --beta 0.5 --subgroup 0 --count 3", {}),
+        ("qz-coherence-count-zero", "qz-coherence --level 12 --beta 0.5 --count 0", {}),
+        ("qz-coherence-level-zero", "qz-coherence --level 0 --beta 0.5", {}),
         ("reconstruct-finite", "reconstruct --state finite:n=4,beta=0.9 --f 2,3 --k 2 --truncation 10000", {}),
         ("reconstruct-measure", f"reconstruct --state measure:beta=0.7,file={EXT6} --f 2 --k 1 --truncation 1000", {}),
         ("reconstruct-wrong-kind", "reconstruct --state lebesgue:beta=0.8 --f 2 --k 1", {}),
@@ -136,6 +141,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("delta-estimate", "delta-estimate --u 3.0 --x 100", {}),
         ("self-test-one", "self-test --criteria 1", {}),
         ("self-test-corrupt", "self-test --criteria 3 --corrupt 3", {}),
+        ("self-test-corrupt-other", "self-test --criteria 5 --corrupt 5", {}),
+        ("self-test-corrupt-not-run", "self-test --criteria 1 --corrupt 3", {}),
         ("self-test-output-file", "self-test --criteria 1,15 --output <TMP>/report.json", {}),
         ("self-test-bad-list", "self-test --criteria 1,x", {}),
         ("self-test-unknown-criterion", "self-test --criteria 99", {}),

@@ -39,6 +39,7 @@ from affkms.states import (
     eval_state,
     h_beta,
     kms_residual,
+    kms_sweep,
     limit_beta1,
     qz_coherence,
     reconstruct_check,
@@ -59,8 +60,7 @@ def oracle_eval_state(spec, x):
     else:
         if isinstance(x, QZMonomial):
             a, b = x.a, x.b
-            n_mod = spec.n if isinstance(spec, (Quotient, QuotientChar)) else spec.level
-            k = _qz_exponent(x.x, n_mod)
+            k = _qz_exponent(spec, x.x)
         elif isinstance(x, Monomial) and isinstance(spec, (Quotient, QuotientChar)):
             a, k, b = x.a, x.k, x.b
         else:
@@ -170,6 +170,28 @@ class TestEvalGuards:
     def test_divisor_index_below_one_refused(self, make, m):
         with pytest.raises(ValueError, match=rf"^divisor index m must be >= 1, got {m}$"):
             make(m)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_sweeps_refuse_zero_checks(self, count):
+        with pytest.raises(ValueError, match=rf"^pairs must be >= 1, got {count}$"):
+            kms_sweep(FiniteN(6, 0.8), count, random.Random(1))
+        with pytest.raises(ValueError, match=rf"^count must be >= 1, got {count}$"):
+            coherence_sweep(12, 0.5, count, random.Random(1))
+
+    @pytest.mark.parametrize("level", [0, -6])
+    def test_sweep_refuses_a_level_below_one(self, level):
+        with pytest.raises(ValueError, match=rf"^level must be >= 1, got {level}$"):
+            coherence_sweep(level, 0.5, 3, random.Random(1))
+
+    @pytest.mark.parametrize("spec, modulus", [
+        (Quotient(6, 2, 0.5), "n = 6"),
+        (QuotientChar(6, root(1, 3), 2.0), "n = 6"),
+        (QZSubgroup(12, 4, 0.7), "the level 12"),
+        (QZChar(12, root(1, 4), 1.5), "the level 12"),
+    ], ids=["Quotient", "QuotientChar", "QZSubgroup", "QZChar"])
+    def test_point_order_refusal_names_the_modulus(self, spec, modulus):
+        with pytest.raises(ValueError, match=rf"^order of 1/8 does not divide {modulus}$"):
+            eval_state(spec, QZMonomial(1, root(1, 8), 1))
 
 
 def _bits(value, tail):
