@@ -98,6 +98,8 @@ def primes_up_to(x: int) -> list[int]:
 
 
 def first_primes(k: int) -> list[int]:
+    if k < 0:
+        raise ValueError(f"first_primes requires k >= 0, got {k}")
     ps = _primes()
     if k > len(ps):
         raise RangeError(f"only {len(ps)} primes precomputed, requested {k}")

@@ -61,15 +61,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-class _Crowded(Exception):
-    """A refusal that the table's own bytes explain.
-
-    Without the table every step of the recursion holds at least what it holds
-    with it, less the table, so any other refusal stands; this one is retried
-    without the table, which never refuses an input that the recursion alone fits.
-    """
-
-
 class _Buchstab:
     """One evaluation of Psi(x, p_k) for many x by the Buchstab recursion
 
@@ -110,21 +101,15 @@ class _Buchstab:
     are <= T < 2^31.
     """
 
-    def __init__(self, k: int, what: str, cells: int):
+    def __init__(self, k: int, what: str):
         self.primes = prime_array()
         self.squares = self.primes * self.primes
         self.k = k
         self.what = what
-        self.cells = cells  # int32 cells the table may take
-        self.held = 0  # int64 elements alive outside the array being built
+        self.held = 0  # int64 elements alive outside the array being built, the table included
 
     def _reserve(self, n: int) -> None:
-        need = 8 * (self.held + n)
-        arith.charge(self.what, need - 8 * self.table_held)  # a refusal the table does not explain
-        try:
-            arith.charge(self.what, need)
-        except RangeError:
-            raise _Crowded from None
+        arith.charge(self.what, 8 * (self.held + n))
 
     def _rows(self, top: int) -> int:
         """min(k + 1, pi(top)) rows, and at least the row of p_0 = 2, which also serves x <= 1."""
@@ -202,11 +187,10 @@ class _Buchstab:
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         kept = self.squares.size  # and the table, and the recorded bands: keys, partial counts, child counts
-        budget = min(self.cells, arith.ARRAY_BYTES_LIMIT // 8 - kept)
+        budget = min(_TABLE_CELLS, arith.ARRAY_BYTES_LIMIT // 8 - kept)
         self.top = self._table_top(int(xs.max()), budget)
         self.table = self._table(self.top)
-        self.table_held = self.table.nbytes // 8
-        kept += self.table_held
+        kept += self.table.nbytes // 8
         pis = np.searchsorted(self.primes, xs, side="right")
         ks = np.maximum(np.minimum(self.k, pis - 1), 0)
         big = xs > self.top
@@ -258,8 +242,8 @@ def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
 
     One pass of the Buchstab recursion serves all of xs, with one table for
     its nodes at small x (see :class:`_Buchstab`).  Raises
-    :class:`RangeError` before allocating when its working set would exceed
-    ``ARRAY_BYTES_LIMIT`` bytes.
+    :class:`RangeError` before allocating when its working set, the table
+    included, would exceed ``ARRAY_BYTES_LIMIT`` bytes.
     """
     xs = [operator.index(x) for x in xs]
     y = operator.index(y)
@@ -273,12 +257,7 @@ def psi_counts(xs: Iterable[int], y: int) -> np.ndarray:
     k = len(primes_up_to(y)) - 1
     if not xs:
         return np.zeros(0, dtype=np.int64)
-    what = f"psi_count at x = {max(xs)}, y = {y}"
-    xs = np.array(xs, dtype=np.int64)
-    try:
-        return _Buchstab(k, what, _TABLE_CELLS).run(xs)
-    except _Crowded:
-        return _Buchstab(k, what, 0).run(xs)
+    return _Buchstab(k, f"psi_count at x = {max(xs)}, y = {y}").run(np.array(xs, dtype=np.int64))
 
 
 def psi_count(x: int, y: int) -> int:

@@ -177,16 +177,23 @@ def _load_measure(path: str) -> AtomicMeasure:
         raise UsageError(f"bad measure schema in {path}: {err}") from None
 
 
+def _beta(text: str) -> float:
+    beta = float(text)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    return beta
+
+
 # kind -> (spec class, {field: parser}), the fields in the order the class takes them
 _STATE_KINDS = {
-    "finite": (FiniteN, {"n": int, "beta": float}),
-    "lebesgue": (LebesgueInf, {"beta": float}),
-    "measure": (FromMeasure, {"file": _load_measure, "beta": float}),
-    "lowtemp": (LowTemp, {"file": _load_measure, "beta": float}),
-    "quotient": (Quotient, {"n": int, "m": int, "beta": float}),
-    "quotient-char": (QuotientChar, {"n": int, "zeta": _parse_root, "beta": float}),
-    "qz": (QZSubgroup, {"level": int, "m": int, "beta": float}),
-    "qz-char": (QZChar, {"level": int, "chi": _parse_root, "beta": float}),
+    "finite": (FiniteN, {"n": int, "beta": _beta}),
+    "lebesgue": (LebesgueInf, {"beta": _beta}),
+    "measure": (FromMeasure, {"file": _load_measure, "beta": _beta}),
+    "lowtemp": (LowTemp, {"file": _load_measure, "beta": _beta}),
+    "quotient": (Quotient, {"n": int, "m": int, "beta": _beta}),
+    "quotient-char": (QuotientChar, {"n": int, "zeta": _parse_root, "beta": _beta}),
+    "qz": (QZSubgroup, {"level": int, "m": int, "beta": _beta}),
+    "qz-char": (QZChar, {"level": int, "chi": _parse_root, "beta": _beta}),
 }
 
 
@@ -681,6 +688,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name in ("beta", "tol"):
+            if not math.isfinite(getattr(args, name, 0.0)):
+                raise UsageError(f"--{name} must be finite, got {getattr(args, name)}")
         if getattr(args, "tol", 1.0) <= 0:
             raise UsageError("tolerance must be > 0")
         if getattr(args, "truncation", 1) < 1:

@@ -95,7 +95,7 @@ class AtomicMeasure:
 
     The atoms are parallel arrays num, den (int64) and weight (float64), sorted by
     (den, num): the order :func:`measure_to_dict` writes and sums over atoms run in.
-    Input weights 0 are dropped, repeated roots add up in the order given, and an
+    Repeated roots add up in the order given, weights and sums 0 are dropped, and an
     order of 2^63 or more raises :class:`RangeError`.
     """
 
@@ -110,9 +110,8 @@ class AtomicMeasure:
     ):
         acc: dict[tuple[int, int], float] = {}
         for z, w in atoms.items() if isinstance(atoms, Mapping) else atoms:
-            if w != 0.0:
-                acc[z.den, z.num] = acc.get((z.den, z.num), 0.0) + w
-        keys = sorted(acc)
+            acc[z.den, z.num] = acc.get((z.den, z.num), 0.0) + w
+        keys = sorted(key for key, w in acc.items() if w != 0.0)
         if keys and keys[-1][0] > INT64_MAX:
             z = RootOfUnity(keys[-1][1], keys[-1][0])
             raise RangeError(f"atom {z} has order {z.den}, beyond the 64-bit range")
@@ -603,13 +602,15 @@ def measure_to_dict(nu: AtomicMeasure) -> dict:
 
 
 def measure_from_dict(data: Mapping) -> AtomicMeasure:
-    """Read the JSON schema; num, den and level must be integers, weights finite."""
+    """Read the JSON schema; num, den and level must be integers, weights finite, atoms distinct."""
     atoms = {}
     for a in data["atoms"]:
         z = RootOfUnity(operator.index(a["num"]), operator.index(a["den"]))
         w = float(a["weight"])
         if not isfinite(w):
             raise ValueError(f"atom {z} has weight {w}; weights must be finite")
+        if z in atoms:
+            raise ValueError(f"atom {z} is listed twice")
         atoms[z] = w
     level = data.get("level")
     return AtomicMeasure(

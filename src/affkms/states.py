@@ -63,7 +63,7 @@ from .measures import (
 
 
 def _check_beta(beta: float, low: float, high: float | None, variant: str) -> None:
-    if beta < low or (high is not None and beta > high):
+    if not beta >= low or (high is not None and beta > high):
         rng = f"[{low}, {'inf' if high is None else high}]"
         raise ValueError(f"{variant} requires beta in {rng}, got {beta}")
 

@@ -180,6 +180,18 @@ class TestSmoothNumbers:
             smooth_numbers(PrimeSet.of(first_primes(30)), 10**12)
 
 
+class TestFirstPrimes:
+    def test_prefixes(self):
+        assert first_primes(0) == []
+        assert first_primes(5) == [2, 3, 5, 7, 11]
+
+    @pytest.mark.parametrize("k", [-1, -2, -78_498])
+    def test_negative_count_refused(self, k):
+        # a negative slice would hand back all but the last |k| primes
+        with pytest.raises(ValueError, match=rf"^first_primes requires k >= 0, got {k}$"):
+            first_primes(k)
+
+
 class TestPartialZeta:
     def test_geometric(self):
         assert partial_zeta(PrimeSet.of([2]), 1.0) == pytest.approx(2.0, abs=1e-14)

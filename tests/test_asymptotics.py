@@ -291,7 +291,7 @@ class TestPsiAgainstRecursion:
 
 def table_shape(xmax: int, y: int, cells: int = asymptotics._TABLE_CELLS) -> tuple[int, int]:
     """(T, rows) of the table of Psi(x, p_k) that a call with largest x = xmax builds."""
-    engine = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "", cells)
+    engine = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "")
     top = engine._table_top(xmax, cells)
     return top, engine._rows(top)
 
@@ -350,7 +350,7 @@ class TestPsiTable:
     def test_table_against_the_sieve(self, y):
         # every row over the whole range, and the last row serves every k >= rows
         top, rows = table_shape(10**9, y)
-        table = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "", asymptotics._TABLE_CELLS)._table(top)
+        table = asymptotics._Buchstab(len(primes_up_to(y)) - 1, "")._table(top)
         assert table.shape == (rows, top + 1)
         ps = primes_up_to(max(y, top))
         for k, row in enumerate(table):
@@ -375,21 +375,46 @@ class TestPsiTable:
         with pytest.raises(RangeError, match=r"x = 100000000, y = 100 needs 1 MiB"):
             psi_count(10**8, 100)
 
-    def test_a_crowding_table_gives_way(self, monkeypatch):
+    def test_a_crowding_table_refuses_after_one_run(self, monkeypatch):
         # at 1 MiB the table takes half of what the prime table leaves, which
-        # crowds out this recursion; the call runs again without the table
-        cells = []
+        # crowds out this recursion; the table counts like any other array, so
+        # the call is refused and not run a second time
+        runs = []
         engine = asymptotics._Buchstab
 
         class Spy(engine):
-            def __init__(self, k, where, budget):
-                cells.append(budget)
-                super().__init__(k, where, budget)
+            def run(self, xs):
+                runs.append(xs.tolist())
+                return super().run(xs)
 
         monkeypatch.setattr(asymptotics, "_Buchstab", Spy)
         monkeypatch.setattr(arith, "ARRAY_BYTES_LIMIT", 2**20)
-        assert psi_count(9_028_064, 245) == recursion_oracle(9_028_064, 245)
-        assert cells == [asymptotics._TABLE_CELLS, 0]
+        with pytest.raises(RangeError, match=r"x = 9028064, y = 245 needs 1 MiB, over the 1 MiB limit"):
+            psi_count(9_028_064, 245)
+        assert runs == [[9_028_064]]
+
+    @pytest.mark.parametrize("xs, y, answered", [
+        ([10**9], 997, True),
+        ([10, 10**6, 10**8], 97, True),
+        ([6 * 10**11], 1634, False),
+        ([10**12], 997, False),
+    ])
+    def test_one_engine_per_call(self, monkeypatch, xs, y, answered):
+        built = []
+        engine = asymptotics._Buchstab
+
+        class Spy(engine):
+            def __init__(self, k, what):
+                built.append(k)
+                super().__init__(k, what)
+
+        monkeypatch.setattr(asymptotics, "_Buchstab", Spy)
+        if answered:
+            assert psi_counts(xs, y).tolist() == [recursion_oracle(x, y) for x in xs]
+        else:
+            with pytest.raises(RangeError, match=r"over the 128 MiB limit"):
+                psi_counts(xs, y)
+        assert built == [len(primes_up_to(y)) - 1]
 
 
 _SEQUENCES = [SequenceSpec.const_one(), SequenceSpec.prime_indicator(), SequenceSpec.square_indicator(),

@@ -18,6 +18,8 @@ MALFORMED_MEASURES = {
     "zero-level": '{"level": 0, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
     "negative-level": '{"level": -6, "atoms": [{"num": 0, "den": 1, "weight": 1.0}]}',
     "order-beyond-int64": '{"atoms": [{"num": 1, "den": 9223372036854775808, "weight": 1.0}]}',
+    "repeated-root": '{"atoms": [{"num": 0, "den": 1, "weight": 0.5}, {"num": 0, "den": 1, "weight": 0.25}, '
+                     '{"num": 1, "den": 2, "weight": 0.25}]}',
 }
 
 
@@ -97,6 +99,15 @@ class TestEvalState:
         ("quotient-eval --n 6 --m 2 --beta 0.5 --monomial 1,1/4,1", "order of 1/4 does not divide n = 6"),
         ("eval-state --state qz:level=12,m=4,beta=0.7 --monomial 1,1/8,1",
          "order of 1/8 does not divide the level 12"),
+        ("eval-state --state finite:n=6,beta=nan --monomial 1,1,1",
+         "bad state 'finite:n=6,beta=nan': beta must be finite, got nan"),
+        ("eval-state --state qz:level=12,m=4,beta=-inf --monomial 1,1/3,1",
+         "bad state 'qz:level=12,m=4,beta=-inf': beta must be finite, got -inf"),
+        ("extremal-measure --n 6 --beta nan", "--beta must be finite, got nan"),
+        ("superposition-check --n 4 --beta inf", "--beta must be finite, got inf"),
+        ("kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol inf", "--tol must be finite, got inf"),
+        ("kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol nan", "--tol must be finite, got nan"),
+        ("kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol 0", "tolerance must be > 0"),
     ])
     def test_refused_input_exits_1_with_one_line(self, run, measure_file, argv, message):
         argv = argv.replace("EPS4", measure_file(epsilon(4)))
@@ -457,6 +468,8 @@ class TestAsymptoticsCommands:
          "delta_estimate at u = 9.0, x = 50 counts at x^u = 10^15.29, beyond the counter's x <= 1000000000000"),
         ("smooth-sum --n-primes 3 --c 9223372036854775808",
          "smooth_numbers requires bound < 2^63, got 9223372036854775808"),
+        ("smooth-sum --n-primes -2 --c 1000", "first_primes requires k >= 0, got -2"),
+        ("wiener-sum --n-primes -1 --c 1000", "first_primes requires k >= 0, got -1"),
     ])
     def test_bad_input_exits_1_with_one_line(self, run, argv, message):
         code, out, err = run(*argv.split())

@@ -60,12 +60,14 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("eval-quotient-m-negative", "eval-state --state quotient:n=6,m=-2,beta=0.5 --monomial 1,1,1", {}),
         ("eval-qz-m-zero", "eval-state --state qz:level=12,m=0,beta=0.5 --monomial 1,1/3,1", {}),
         ("eval-qz-m-negative", "eval-state --state qz:level=12,m=-4,beta=0.5 --monomial 1,1/3,1", {}),
+        ("eval-nan-beta", "eval-state --state finite:n=6,beta=nan --monomial 1,1,1", {}),
         ("eval-quotient-char-order", "eval-state --state quotient-char:n=6,zeta=1/3,beta=2 --monomial 1,1/4,1", {}),
         ("kms-finite", "kms-check --state finite:n=6,beta=0.8 --pairs 50 --seed 42", {}),
         ("kms-measure", f"kms-check --state measure:beta=0.7,file={EXT6} --pairs 30", {}),
         ("kms-lebesgue-env-seed", "kms-check --state lebesgue:beta=1 --pairs 20", {"AFFKMS_SEED": "3"}),
         ("kms-violation", "kms-check --state finite:n=6,beta=0.8 --pairs 50 --tol 1e-300", {}),
         ("kms-bad-tol", "kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol 0", {}),
+        ("kms-inf-tol", "kms-check --state finite:n=6,beta=0.8 --pairs 5 --tol inf", {}),
         ("kms-lowtemp", "kms-check --state lowtemp:beta=2,file=<TMP>/eps4.json --pairs 5", {}),
         ("kms-quotient", "kms-check --state quotient:n=6,m=2,beta=0.5 --pairs 5", {}),
         ("kms-quotient-char", "kms-check --state quotient-char:n=6,zeta=1/3,beta=2 --pairs 5", {}),
@@ -76,6 +78,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("decompose-not-subconformal", "decompose --beta 1.0 --measure <TMP>/half.json", {}),
         ("decompose-not-invariant", "decompose --beta 0.7 --measure <TMP>/noninv.json", {}),
         ("decompose-loose-tol", "decompose --beta 0.7 --measure <TMP>/noninv.json --tol 0.5", {}),
+        ("decompose-repeated-atom", "decompose --beta 0.7 --measure <TMP>/repeated.json", {}),
         ("decompose-missing-file", f"decompose --beta 1.0 --measure {MISSING}", {}),
         ("decompose-malformed", "decompose --beta 1.0 --measure <TMP>/malformed.json", {}),
         ("decompose-bad-schema", "decompose --beta 1.0 --measure <TMP>/schema.json", {}),
@@ -86,6 +89,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("extremal-closed", "extremal-measure --n 6 --beta 0.7", {}),
         ("extremal-inverse", "extremal-measure --n 6 --beta 0.7 --route inverse", {}),
         ("extremal-solve-guard", "extremal-measure --route inverse --n 840 --beta 0.001", {}),
+        ("extremal-nan-beta", "extremal-measure --n 6 --beta nan", {}),
         ("extremal-output-file", "extremal-measure --n 4 --beta 0.5 --output <TMP>/out.json", {}),
         ("pushforward", f"pushforward --measure {EXT6} --d 4", {}),
         ("pushforward-bad-d", f"pushforward --measure {EXT6} --d 0", {}),
@@ -99,6 +103,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("limit-beta1-bad-root", "limit-beta1 --z 1/0", {}),
         ("superposition", "superposition-check --n 4 --beta 2", {}),
         ("superposition-low-beta", "superposition-check --n 4 --beta 1", {}),
+        ("superposition-inf-beta", "superposition-check --n 4 --beta inf", {}),
         ("kappa", "kappa --b 3 --monomial 2,5,7", {}),
         ("kappa-qz-monomial", "kappa --b 3 --monomial 1,1/2,1", {}),
         ("quotient-divisor", "quotient-eval --n 6 --m 2 --beta 0.5 --monomial 1,1,1", {}),
@@ -131,11 +136,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("smooth-sum", "smooth-sum --n-primes 5 --c 10000", {}),
         ("smooth-sum-trend-json", "smooth-sum --n-primes 5 --sequence primes --c 10000 --trend", {}),
         ("smooth-sum-trend-csv", "smooth-sum --n-primes 5 --sequence primes --c 10000 --trend --format csv", {}),
+        ("smooth-sum-negative-primes", "smooth-sum --n-primes -2 --c 1000", {}),
         ("smooth-sum-unknown-sequence", "smooth-sum --n-primes 5 --sequence cubes", {}),
         ("wiener-sum", "wiener-sum --n-primes 4 --nu-hat half-turn --b 2 --c 10000", {}),
         ("wiener-sum-trend-json", "wiener-sum --n-primes 5 --nu-hat cos --c 10000 --trend", {}),
         ("wiener-sum-trend-csv", "wiener-sum --n-primes 5 --nu-hat half-turn --c 10000 --trend --format csv", {}),
         ("wiener-sum-moments-file", "wiener-sum --n-primes 4 --nu-hat <TMP>/moments.json --c 10000", {}),
+        ("wiener-sum-negative-primes", "wiener-sum --n-primes -1 --c 1000", {}),
         ("wiener-sum-unknown-preset", "wiener-sum --n-primes 4 --nu-hat triangle", {}),
         ("wiener-sum-bad-moments", "wiener-sum --n-primes 4 --nu-hat <TMP>/malformed.json", {}),
         ("delta-estimate", "delta-estimate --u 3.0 --x 100", {}),
@@ -171,6 +178,8 @@ def write_inputs(tmp: Path) -> None:
         "noninv.json": measure_json(AtomicMeasure({root(0, 1): 0.7316, root(3, 5): 0.2684})),
         "malformed.json": '{"level": 2,\n  "atoms": [}',
         "schema.json": '{"atoms": [{"num": 1}]}',
+        "repeated.json": '{"atoms": [{"num": 0, "den": 1, "weight": 0.5}, {"num": 0, "den": 1, "weight": 0.25}, '
+                         '{"num": 1, "den": 2, "weight": 0.25}]}',
         "moments.json": '{"0": 1.0, "1": [0.25, 0.0], "-1": 0.25}',
     }
     for name, text in files.items():

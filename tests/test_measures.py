@@ -116,9 +116,8 @@ class DictMeasure:
     def __init__(self, atoms=(), *, signed=False, level=None):
         acc: dict[RootOfUnity, float] = {}
         for z, w in atoms.items() if isinstance(atoms, dict) else atoms:
-            if w == 0.0:
-                continue
             acc[z] = acc.get(z, 0.0) + w
+        acc = {z: w for z, w in acc.items() if w != 0.0}
         if level is not None and (level < 1 or any(level % z.den for z in acc)):
             raise ValueError(f"atoms do not live on the level-{level} roots")
         self._atoms, self.signed, self._level = acc, signed, level
@@ -290,9 +289,7 @@ class TestArraysAgainstDictOracle:
         doc = measure_to_dict(nu)
         assert doc == dict_measure_to_dict(DictMeasure(a, signed=signed))
         back = measure_from_dict(json.loads(json.dumps(doc, sort_keys=True)))
-        # an atom whose weights summed to 0 is written, and dropped when read like any weight 0
-        kept = [(z, w) for z, w in items(nu) if float(w) != 0.0]
-        assert (items(back), back.signed, back.support_level()) == (kept, signed, doc["level"])
+        assert (items(back), back.signed, back.support_level()) == (items(nu), signed, doc["level"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 5, 12, 30, 60]), st.sampled_from([0.3, 0.7, 1.0]), st.booleans(),
@@ -1287,6 +1284,21 @@ class TestSerialization:
         text, error = MALFORMED_MEASURES[case]
         with pytest.raises(error):
             measure_from_dict(json.loads(text))
+
+    def test_repeated_atom_rejected(self):
+        # read as a dict, the second weight at 0/1 would replace the first
+        atoms = [{"num": 0, "den": 1, "weight": 0.5}, {"num": 1, "den": 2, "weight": 0.25},
+                 {"num": 0, "den": 1, "weight": 0.25}]
+        with pytest.raises(ValueError, match=r"^atom 0/1 is listed twice$"):
+            measure_from_dict({"atoms": atoms})
+
+    def test_cancelled_atom_is_not_written(self):
+        parts = [(root(1, 2), 1.0), (root(1, 2), -1.0), (ONE, 1.0)]
+        built = AtomicMeasure(parts, signed=True)
+        summed = AtomicMeasure(parts[:1], signed=True).plus(AtomicMeasure(parts[1:], signed=True))
+        assert built.atoms() == summed.atoms() == {ONE: 1.0}
+        assert built.support_level() == summed.support_level() == 1
+        assert measure_to_dict(built)["atoms"] == [{"num": 0, "den": 1, "weight": 1.0}]
 
     def test_roundtrip_bit_exact(self):
         nu = AtomicMeasure(

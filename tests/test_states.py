@@ -162,6 +162,18 @@ class TestEvalGuards:
             QZSubgroup(6, 4, 0.5)
 
     @pytest.mark.parametrize("make", [
+        lambda beta: FiniteN(6, beta),
+        lambda beta: LebesgueInf(beta),
+        lambda beta: FromMeasure(dirac(ONE), beta),
+        lambda beta: Quotient(6, 2, beta),
+        lambda beta: QZSubgroup(12, 4, beta),
+    ])
+    def test_nan_beta_refused(self, make):
+        # both comparisons of a range check are false for NaN
+        with pytest.raises(ValueError, match=r"requires beta in \[0\.0, .*\], got nan$"):
+            make(math.nan)
+
+    @pytest.mark.parametrize("make", [
         lambda m: Quotient(6, m, 0.5),
         lambda m: QZSubgroup(12, m, 0.5),
         lambda m: coherence_sweep(12, 0.5, 3, random.Random(1), [m]),
