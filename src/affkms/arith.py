@@ -55,6 +55,19 @@ def charge(what: str, size: int) -> None:
         )
 
 
+def require(what: str, name: str, value: float, *, gt=None, ge=None, le=None) -> None:
+    """Raise ``ValueError`` unless value is finite and within the given bounds."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} requires a finite {name}, got {value}")
+    if not ((gt is None or value > gt) and (ge is None or value >= ge) and (le is None or value <= le)):
+        if le is None:
+            rule = f"{name} > {gt}" if gt is not None else f"{name} >= {ge}"
+        else:
+            low = f"{gt} < " if gt is not None else f"{ge} <= " if ge is not None else ""
+            rule = f"{low}{name} <= {le}"
+        raise ValueError(f"{what} requires {rule}, got {value}")
+
+
 def checked_mul(a: int, b: int) -> int:
     r = a * b
     if abs(r) > INT64_MAX:
@@ -191,8 +204,7 @@ def totient_beta(n: int, beta: float) -> float:
 
     Euler's phi at beta=1; the indicator of n=1 at beta=0.
     """
-    if beta < 0:
-        raise ValueError(f"totient_beta requires beta >= 0, got {beta}")
+    require("totient_beta", "beta", beta, ge=0)
     f = factorize(n).factors
     out = float(n) ** beta
     for p, _ in f:
@@ -289,8 +301,7 @@ def partial_zeta(F: PrimeSet, beta: float) -> float:
     """Euler product prod_{p in F} (1 - p^-beta)^-1, the partition function of F."""
     if len(F) == 0:
         return 1.0
-    if beta <= 0:
-        raise ValueError(f"partial_zeta requires beta > 0 for nonempty F, got {beta}")
+    require("partial_zeta", "beta", beta, gt=0)
     out = 1.0
     for p in F:
         out /= 1.0 - float(p) ** -beta
@@ -326,10 +337,8 @@ def hurwitz_zeta_bounded(beta: float, a: float) -> tuple[float, float]:
     remainder obeys |R| <= 4 (beta)_8 / (2 pi)^8 * x^(1-beta-8) / (beta+7)
     (Johansson, arXiv:1309.2877, Thm 1), which equals 4 (beta)_7 x^(-beta-7) / (2 pi)^8.
     """
-    if beta <= 1:
-        raise ValueError(f"hurwitz_zeta requires beta > 1, got {beta}")
-    if not 0 < a <= 1:
-        raise ValueError(f"hurwitz_zeta requires a in (0, 1], got {a}")
+    require("hurwitz_zeta", "beta", beta, gt=1)
+    require("hurwitz_zeta", "a", a, gt=0, le=1)
     x = _EM_HEAD + a
     terms = [(k + a) ** -beta for k in range(_EM_HEAD)]
     terms.append(x ** (1.0 - beta) / (beta - 1.0))
@@ -362,6 +371,7 @@ def residue_weights(q: int, beta: float) -> tuple[list[float], float]:
     """
     if q < 1:
         raise ValueError(f"residue_weights requires q >= 1, got {q}")
+    require("residue_weights", "beta", beta, gt=1)
     charge(f"residue_weights over q = {q} classes", q * RESIDUE_BYTES)
     scale = float(q) ** -beta
     weights = []

@@ -32,6 +32,7 @@ from .arith import (
     is_prime,
     prime_array,
     primes_up_to,
+    require,
     smooth_array,
     smooth_numbers,
 )
@@ -349,10 +350,7 @@ def _raw_grid(n_steps: int, h: float) -> tuple[float, ...]:
 
 def _check_args(name: str, arg: str, u: float, h: float, top: float) -> None:
     """Refuse an argument u outside [0, top] and a step h outside (0, 0.01]."""
-    if not math.isfinite(u):
-        raise ValueError(f"{name} requires a finite {arg}, got {u}")
-    if u < 0:
-        raise ValueError(f"{name} requires {arg} >= 0, got {u}")
+    require(name, arg, u, ge=0)
     if not h > 0:
         raise ValueError(f"{name} requires a step h > 0, got {h}")
     if h > 0.01:
@@ -490,6 +488,7 @@ def smooth_harmonic_sum(n_primes: int, a: SequenceSpec, C: int) -> SmoothSum:
 
 def density_sum(J: SequenceSpec, n_primes: int, C: int) -> list[tuple[int, float]]:
     """Trend rows (n, scaled smooth sum of the indicator) for n = 3 .. n_primes (none below 3)."""
+    first_primes(n_primes)  # refuses a negative count, which the range below would skip
     return [(n, smooth_harmonic_sum(n, J, C).value) for n in range(3, n_primes + 1)]
 
 
@@ -557,10 +556,7 @@ def delta_estimate(u: float, x: int, n_points: int = 64) -> DeltaEstimate:
     the exact counter's desk range (then the result is flagged truncated).
     Raises :class:`RangeError` when x^u itself exceeds ``PSI_X_LIMIT``.
     """
-    if not math.isfinite(u):
-        raise ValueError(f"delta_estimate requires a finite u, got {u}")
-    if u < 1:
-        raise ValueError(f"delta_estimate requires u >= 1, got {u}")
+    require("delta_estimate", "u", u, ge=1)
     if x > 1000 or x < 3:
         raise ValueError(f"delta_estimate requires 3 <= x <= 1000, got {x}")
     # x^u overflows a double only far above the limit, where the log test refuses first

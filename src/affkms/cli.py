@@ -21,7 +21,7 @@ from dataclasses import fields
 from typing import NamedTuple
 
 from . import acceptance
-from .arith import PrimeSet, partial_zeta
+from .arith import PrimeSet, first_primes, partial_zeta
 from .algebra import Monomial, projection_eF
 from .measures import (
     AtomicMeasure,
@@ -498,6 +498,7 @@ def cmd_wiener_sum(args):
         v = wiener_sum(nu_hat, args.n_primes, B, args.ell, args.k, args.c)
         return Report({"n_primes": args.n_primes, "ell": args.ell, "k": args.k, "c": args.c,
                        "value": {"re": v.real, "im": v.imag}, "abs": abs(v)})
+    first_primes(args.n_primes)  # refuses a negative count, which the range below would skip
     trend = "vanishing" if args.nu_hat != "half-turn" else "bounded-away"
     rows = [(n, abs(wiener_sum(nu_hat, n, B, args.ell, args.k, args.c)), trend)
             for n in range(3, args.n_primes + 1)]

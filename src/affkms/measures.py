@@ -33,6 +33,7 @@ from .arith import (
     factorize,
     mobius,
     primes_up_to,
+    require,
     residue_weights,
     totient,
     totient_beta,
@@ -250,6 +251,7 @@ def _primitive_roots(d: int, w: float):
 
 def apply_A(nu: AtomicMeasure, n: int, beta: float) -> AtomicMeasure:
     """A_{beta,n} nu = sum_{d|n} mu(d) d^-beta omega_d* nu (signed), on the K-th roots."""
+    require("apply_A", "beta", beta)
     K = nu.support_level()
     charge(f"apply_A at level K = {K}", K * PUSH_BYTES)
     vec = _level_vector(nu, K)[None]
@@ -285,8 +287,7 @@ def apply_A_inv(
     ``ValueError`` when some p^-beta rounds to 1, where the series does not
     converge in float64.
     """
-    if beta <= 0:
-        raise ValueError(f"apply_A_inv requires beta > 0, got {beta}")
+    require("apply_A_inv", "beta", beta, gt=0)
     K = level if level is not None else nu.support_level()
     # besides the atoms: rhs, mu, tmp, the residual and a push's column index, 8 B per root each
     charge(f"apply_A_inv at level K = {K}", K * (ATOM_ARRAY_BYTES + 40))
@@ -418,8 +419,8 @@ def check_subconformal(
     smallest j.  Raises :class:`RangeError` before allocating when the
     2^m x K array would exceed ``ARRAY_BYTES_LIMIT`` bytes.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    require("check_subconformal", "beta", beta, ge=0)
+    require("check_subconformal", "tol", tol, ge=0)
     if nu.signed or nu.min_weight() < 0:
         raise ValueError("check_subconformal requires a non-negative measure")
     K = nu.support_level()
@@ -468,6 +469,7 @@ def extremal_measure(n: int, beta: float) -> AtomicMeasure:
     """
     if n < 1:
         raise ValueError(f"extremal_measure requires n >= 1, got {n}")
+    require("extremal_measure", "beta", beta, ge=0)
     charge(f"extremal_measure({n}) with {n} atoms", n * ATOM_ARRAY_BYTES)
     scale = float(n) ** -beta
     # the divisors ascending, each one's roots by numerator: (den, num) order
@@ -509,8 +511,8 @@ def decompose(nu: AtomicMeasure, beta: float, tol: float = 1e-9) -> dict[int, fl
     carry nu(Z_d^*)/phi(d) within tol, and :class:`NotSubconformalError` when
     some coefficient drops below -tol.
     """
-    if not 0 < beta <= 1:
-        raise ValueError(f"decompose requires 0 < beta <= 1, got {beta}")
+    require("decompose", "beta", beta, gt=0, le=1)
+    require("decompose", "tol", tol, ge=0)
     if nu.signed or nu.min_weight() < 0:
         raise ValueError("decompose requires a non-negative measure")
     num, den, w = nu._atoms
@@ -553,8 +555,7 @@ def t_beta(nu: AtomicMeasure, beta: float, C: int) -> tuple[AtomicMeasure, float
     tail mass zeta(beta)^-1 sum_{c>C} c^-beta, which bounds the
     total-variation truncation error per unit of input mass.
     """
-    if beta <= 1:
-        raise ValueError(f"t_beta requires beta > 1, got {beta}")
+    require("t_beta", "beta", beta, gt=1)
     if C < 1:
         raise ValueError(f"truncation bound must be >= 1, got {C}")
     K = nu.support_level()
@@ -579,8 +580,7 @@ def t_beta_exact_root(z: RootOfUnity, beta: float) -> AtomicMeasure:
 
     w are the residue-class sums of c^-beta (:func:`affkms.arith.residue_weights`).
     """
-    if beta <= 1:
-        raise ValueError(f"t_beta_exact_root requires beta > 1, got {beta}")
+    require("t_beta_exact_root", "beta", beta, gt=1)
     q = z.den
     charge(f"t_beta_exact_root at order {q}", q * ATOM_ARRAY_BYTES)
     weights, _ = residue_weights(q, beta)

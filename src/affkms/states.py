@@ -38,6 +38,7 @@ from .arith import (
     divisors,
     mobius,
     partial_zeta,
+    require,
     residue_weights,
     smooth_numbers,
     squarefree_products,
@@ -62,12 +63,6 @@ from .measures import (
 )
 
 
-def _check_beta(beta: float, low: float, high: float | None, variant: str) -> None:
-    if not beta >= low or (high is not None and beta > high):
-        rng = f"[{low}, {'inf' if high is None else high}]"
-        raise ValueError(f"{variant} requires beta in {rng}, got {beta}")
-
-
 def _check_divisor_index(m: int) -> None:
     if m < 1:
         raise ValueError(f"divisor index m must be >= 1, got {m}")
@@ -83,7 +78,7 @@ class FiniteN:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"index n must be >= 1, got {self.n}")
-        _check_beta(self.beta, 0.0, None, "FiniteN")
+        require("FiniteN", "beta", self.beta, ge=0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class LebesgueInf:
     beta: float
 
     def __post_init__(self):
-        _check_beta(self.beta, 0.0, None, "LebesgueInf")
+        require("LebesgueInf", "beta", self.beta, ge=0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ class FromMeasure:
     beta: float
 
     def __post_init__(self):
-        _check_beta(self.beta, 0.0, None, "FromMeasure")
+        require("FromMeasure", "beta", self.beta, ge=0)
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,7 @@ class LowTemp:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 1:
-            raise ValueError(f"LowTemp requires beta > 1, got {self.beta}")
+        require("LowTemp", "beta", self.beta, gt=1)
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class Quotient:
         _check_divisor_index(self.m)
         if self.n < 1 or self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must divide n = {self.n}")
-        _check_beta(self.beta, 0.0, 1.0, "Quotient")
+        require("Quotient", "beta", self.beta, ge=0, le=1)
         object.__setattr__(self, "twin", FiniteN(self.m, self.beta))
 
 
@@ -146,8 +140,7 @@ class QuotientChar:
     def __post_init__(self):
         if self.n < 1 or self.n % self.zeta.den != 0:
             raise ValueError(f"order of {self.zeta} must divide n = {self.n}")
-        if self.beta <= 1:
-            raise ValueError(f"QuotientChar requires beta > 1, got {self.beta}")
+        require("QuotientChar", "beta", self.beta, gt=1)
         object.__setattr__(self, "twin", LowTemp(dirac(self.zeta), self.beta))
 
 
@@ -163,7 +156,7 @@ class QZSubgroup:
         _check_divisor_index(self.m)
         if self.level < 1 or self.level % self.m != 0:
             raise ValueError(f"m = {self.m} must divide the level {self.level}")
-        _check_beta(self.beta, 0.0, 1.0, "QZSubgroup")
+        require("QZSubgroup", "beta", self.beta, ge=0, le=1)
         object.__setattr__(self, "twin", FiniteN(self.level // self.m, self.beta))
 
 
@@ -178,8 +171,7 @@ class QZChar:
     def __post_init__(self):
         if self.level < 1 or self.level % self.chi.den != 0:
             raise ValueError(f"order of {self.chi} must divide the level {self.level}")
-        if self.beta <= 1:
-            raise ValueError(f"QZChar requires beta > 1, got {self.beta}")
+        require("QZChar", "beta", self.beta, gt=1)
         object.__setattr__(self, "twin", LowTemp(dirac(self.chi), self.beta))
 
 
@@ -366,7 +358,7 @@ def apply_kappa(b: int, x: Monomial) -> Monomial:
 
 def weak_star_gap(beta: float, n: int, x: Monomial) -> tuple[float, float]:
     """(|psi_{beta,n}(x) - psi_{beta,inf}(x)|, a^-beta (n/gcd(n,k))^-beta)."""
-    _check_beta(beta, 0.0, 1.0, "weak_star_gap")
+    require("weak_star_gap", "beta", beta, ge=0, le=1)
     fin = eval_state(FiniteN(n, beta), x).value
     inf = eval_state(LebesgueInf(beta), x).value
     gap = abs(fin - inf)
@@ -384,8 +376,7 @@ def reconstruct_check(
     tail = (zeta_F(beta) - partial sum) / zeta_F(beta) bounds |lhs - rhs|.
     """
     beta = spec.beta
-    if beta <= 0:
-        raise ValueError("reconstruct_check requires beta > 0")
+    require("reconstruct_check", "beta", beta, gt=0)
     lhs = eval_state(spec, Monomial(1, k, 1)).value.real
     ef = projection_eF(F)
     rhs = 0.0
@@ -412,6 +403,8 @@ def limit_beta1(z: RootOfUnity, betas: list[float]) -> list[tuple[float, float]]
     :class:`RangeError` up front when the n class sums would exceed
     ``ARRAY_BYTES_LIMIT`` bytes.
     """
+    if not betas:
+        raise ValueError("limit_beta1 requires at least one beta, got []")
     n = z.den
     charge(f"limit_beta1 at order {n}", n * RESIDUE_BYTES)
     rows = []
@@ -439,8 +432,7 @@ def superposition_check(n: int, beta: float) -> tuple[float, float]:
 
     Returns (max deviation over the test monomials, the series error bound).
     """
-    if beta <= 1:
-        raise ValueError(f"superposition_check requires beta > 1, got {beta}")
+    require("superposition_check", "beta", beta, gt=1)
     prim = [RootOfUnity(j, n) for j in range(n) if gcd(j, n) == 1]
     phi_n = len(prim)
     specs = [LowTemp(dirac(xi), beta) for xi in prim]
@@ -487,7 +479,7 @@ def coherence_sweep(
     Both states are built once per (m, n), not once per monomial."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    _check_beta(beta, 0.0, 1.0, "QZSubgroup")  # the subgroup states' refusal, ahead of the count's
+    require("QZSubgroup", "beta", beta, ge=0, le=1)  # the subgroup states' refusal, ahead of the count's
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     worst, witness, checks = 0.0, None, 0

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from affkms.arith import (
     mobius,
     mobius_invert,
     partial_zeta,
+    require,
     residue_weights,
     smooth_numbers,
     squarefree_products,
@@ -190,6 +192,30 @@ class TestFirstPrimes:
         # a negative slice would hand back all but the last |k| primes
         with pytest.raises(ValueError, match=rf"^first_primes requires k >= 0, got {k}$"):
             first_primes(k)
+
+
+class TestRequire:
+    @pytest.mark.parametrize("value, bounds, rule", [
+        (1.0, {"gt": 1}, "beta > 1"),
+        (-0.5, {"ge": 0}, "beta >= 0"),
+        (0.0, {"gt": 0, "le": 1}, "0 < beta <= 1"),
+        (1.5, {"gt": 0, "le": 1}, "0 < beta <= 1"),
+        (-1.0, {"ge": 0, "le": 1}, "0 <= beta <= 1"),
+        (2.0, {"le": 1}, "beta <= 1"),
+    ])
+    def test_out_of_range_names_the_rule(self, value, bounds, rule):
+        with pytest.raises(ValueError, match=rf"^entry requires {re.escape(rule)}, got {value}$"):
+            require("entry", "beta", value, **bounds)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bounds", [{}, {"ge": 0}, {"gt": 0, "le": 1}])
+    def test_non_finite_refused_before_the_bounds(self, value, bounds):
+        with pytest.raises(ValueError, match=rf"^entry requires a finite tol, got {value}$"):
+            require("entry", "tol", value, **bounds)
+
+    def test_inside_the_bounds_passes(self):
+        for value, bounds in ((0.0, {"ge": 0}), (1.0, {"gt": 0, "le": 1}), (1e-300, {"gt": 0}), (-5.0, {})):
+            require("entry", "beta", value, **bounds)
 
 
 class TestPartialZeta:

@@ -733,6 +733,11 @@ class TestDensitySum:
         for n in (0, 1, 2):
             assert density_sum(SequenceSpec.prime_indicator(), n, 10**4) == []
 
+    def test_negative_prime_count_refused(self):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=rf"^first_primes requires k >= 0, got {n}$"):
+                density_sum(SequenceSpec.prime_indicator(), n, 10**4)
+
 
 class TestWienerSum:
     def test_lebesgue_single_term(self):

@@ -470,6 +470,10 @@ class TestAsymptoticsCommands:
          "smooth_numbers requires bound < 2^63, got 9223372036854775808"),
         ("smooth-sum --n-primes -2 --c 1000", "first_primes requires k >= 0, got -2"),
         ("wiener-sum --n-primes -1 --c 1000", "first_primes requires k >= 0, got -1"),
+        ("smooth-sum --n-primes -2 --c 1000 --trend", "first_primes requires k >= 0, got -2"),
+        ("wiener-sum --n-primes -1 --c 1000 --trend", "first_primes requires k >= 0, got -1"),
+        ("limit-beta1 --z 1/4 --jmax 0", "limit_beta1 requires at least one beta, got []"),
+        ("limit-beta1 --z 1/4 --jmax -3", "limit_beta1 requires at least one beta, got []"),
     ])
     def test_bad_input_exits_1_with_one_line(self, run, argv, message):
         code, out, err = run(*argv.split())

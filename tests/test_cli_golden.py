@@ -101,6 +101,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("limit-beta1-csv", "limit-beta1 --z 1/4 --jmax 7 --format csv", {}),
         ("limit-beta1-csv-near-pole", "limit-beta1 --z 1/4 --jmax 12 --format csv", {}),
         ("limit-beta1-bad-root", "limit-beta1 --z 1/0", {}),
+        ("limit-beta1-jmax-zero", "limit-beta1 --z 1/4 --jmax 0", {}),
         ("superposition", "superposition-check --n 4 --beta 2", {}),
         ("superposition-low-beta", "superposition-check --n 4 --beta 1", {}),
         ("superposition-inf-beta", "superposition-check --n 4 --beta inf", {}),
@@ -137,12 +138,14 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ("smooth-sum-trend-json", "smooth-sum --n-primes 5 --sequence primes --c 10000 --trend", {}),
         ("smooth-sum-trend-csv", "smooth-sum --n-primes 5 --sequence primes --c 10000 --trend --format csv", {}),
         ("smooth-sum-negative-primes", "smooth-sum --n-primes -2 --c 1000", {}),
+        ("smooth-sum-negative-primes-trend", "smooth-sum --n-primes -2 --c 1000 --trend", {}),
         ("smooth-sum-unknown-sequence", "smooth-sum --n-primes 5 --sequence cubes", {}),
         ("wiener-sum", "wiener-sum --n-primes 4 --nu-hat half-turn --b 2 --c 10000", {}),
         ("wiener-sum-trend-json", "wiener-sum --n-primes 5 --nu-hat cos --c 10000 --trend", {}),
         ("wiener-sum-trend-csv", "wiener-sum --n-primes 5 --nu-hat half-turn --c 10000 --trend --format csv", {}),
         ("wiener-sum-moments-file", "wiener-sum --n-primes 4 --nu-hat <TMP>/moments.json --c 10000", {}),
         ("wiener-sum-negative-primes", "wiener-sum --n-primes -1 --c 1000", {}),
+        ("wiener-sum-negative-primes-trend", "wiener-sum --n-primes -1 --c 1000 --trend", {}),
         ("wiener-sum-unknown-preset", "wiener-sum --n-primes 4 --nu-hat triangle", {}),
         ("wiener-sum-bad-moments", "wiener-sum --n-primes 4 --nu-hat <TMP>/malformed.json", {}),
         ("delta-estimate", "delta-estimate --u 3.0 --x 100", {}),

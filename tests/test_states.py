@@ -169,8 +169,8 @@ class TestEvalGuards:
         lambda beta: QZSubgroup(12, 4, beta),
     ])
     def test_nan_beta_refused(self, make):
-        # both comparisons of a range check are false for NaN
-        with pytest.raises(ValueError, match=r"requires beta in \[0\.0, .*\], got nan$"):
+        # NaN fails every comparison, so a range check alone would let it through
+        with pytest.raises(ValueError, match=r"requires a finite beta, got nan$"):
             make(math.nan)
 
     @pytest.mark.parametrize("make", [
@@ -518,6 +518,11 @@ class TestBetaLimit:
         with pytest.raises(RangeError, match=r"limit_beta1 at order 999999937 needs"):
             limit_beta1(root(1, 999999937), [1.1])
 
+    def test_no_betas_refused(self):
+        # a trend over no rows would pass its monotonicity check vacuously
+        with pytest.raises(ValueError, match=r"^limit_beta1 requires at least one beta, got \[\]$"):
+            limit_beta1(root(1, 4), [])
+
 
 class TestSuperposition:
     def test_single_point_index(self):
@@ -564,7 +569,7 @@ class TestQuotientStates:
             assert abs(lhs - rhs) < 1e-12
 
     def test_sweep_refuses_a_beta_above_one_before_any_check(self):
-        with pytest.raises(ValueError, match="QZSubgroup requires beta in"):
+        with pytest.raises(ValueError, match="QZSubgroup requires 0 <= beta <= 1"):
             coherence_sweep(12, 1.5, 0, random.Random(1))
 
     def test_quotient_char_matches_low_temp_on_integer_monomials(self):
